@@ -25,6 +25,7 @@ from .core_model import (
     lz_eigensystem,
     lz_hamiltonian,
     ordinary,
+    reference_gap,
     three_level_gap,
     two_level_hamiltonian,
 )

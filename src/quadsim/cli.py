@@ -12,18 +12,15 @@ from pathlib import Path
 
 from .analysis import transfer_metrics
 from .config import ConfigError, RunConfig, load_config, preset_names
-from .core_model import TwoLevelParams
-from .propagator import DEFAULT_STEPS, IntegrationError, write_trajectory_csv
+from .propagator import IntegrationError, resolve_steps, write_trajectory_csv
 from .sweeps import (
     Axis,
-    AxisWindow,
-    Scenario,
     SweepError,
     TARGET_INDEX,
     compare_protocols,
     run_protocol,
     run_sweep,
-    three_level_gap,
+    worker_count,
     write_comparison_dominance_csv,
     write_comparison_worst_csv,
     write_sweep_csv,
@@ -42,7 +39,7 @@ def _write_metrics_csv(path, cfg: RunConfig, protocol, duration, result, metrics
     dim = result.populations.shape[0]
     pop_cols = ",".join(f"pop_{i + 1}" for i in range(dim))
     pop_vals = ",".join(format(p, _FLOAT_FMT) for p in result.populations)
-    steps = cfg.steps if cfg.steps is not None else DEFAULT_STEPS[dim]
+    steps = resolve_steps(cfg.steps, dim)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"scenario,protocol,T_s,fidelity,error,final_norm_sq,{pop_cols},method,steps\n")
         fh.write(
@@ -132,20 +129,11 @@ def cmd_compare(cfg: RunConfig, cfg_arg: str, out_dir: Path) -> int:
     for protocol in cfg.protocols:
         if protocol not in cfg.durations:
             raise ConfigError(f"missing required key: T_{protocol.value}_s (or global T_s)")
-    if isinstance(cfg.params, TwoLevelParams):
-        gap = cfg.params.omega_m
-    else:
-        gap = three_level_gap(cfg.params)
-    det = cfg.compare_det if cfg.compare_det is not None else gap
-    axes = [
-        AxisWindow(Axis.AMPLITUDE_SCALE, cfg.compare_amp_lo, cfg.compare_amp_hi, cfg.compare_points),
-        AxisWindow(Axis.DETUNING_OFFSET, -det, det, cfg.compare_points),
-    ]
     result = compare_protocols(
         cfg.scenario,
         cfg.params,
         dict(cfg.durations),
-        axes,
+        cfg.compare,
         delta_m=cfg.delta_m,
         steps=cfg.steps,
         method=cfg.method,
@@ -189,6 +177,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        try:
+            worker_count()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # config-level out_dir is the default; an explicit --out wins
         out_dir = Path(cfg.out_dir) if args.out == "." and cfg.out_dir else Path(args.out)
         if args.command == "simulate":

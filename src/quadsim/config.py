@@ -8,14 +8,15 @@ keys, and missing required keys are errors that name the key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .core_model import LambdaParams, TwoLevelParams, angular
-from .propagator import Method
+from .core_model import LambdaParams, TwoLevelParams, angular, reference_gap
+from .propagator import MIN_STEPS, Method
 from .schedules import SWEEP_KINDS, ScheduleKind
-from .sweeps import AmplitudeMode, Axis, Scenario, SweepSpec
+from .sweeps import AmplitudeMode, Axis, AxisWindow, Scenario, SweepSpec
 
 
 class ConfigError(ValueError):
@@ -89,30 +90,42 @@ def parse_config_text(text: str) -> tuple[dict, dict | None]:
 
 
 def _as_float(section: dict, key: str) -> float:
+    raw = _require(section, key)
     try:
-        return float(section[key])
+        value = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"key {key}: not a number: {section[key]!r}") from exc
+        raise ConfigError(f"key {key}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key}: not a finite number: {raw!r}")
+    return value
 
 
 def _as_int(section: dict, key: str) -> int:
-    value = section[key]
+    raw = _require(section, key)
     try:
-        return int(value)
+        return int(raw)
     except ValueError:
         pass
+    value = _as_float(section, key)
+    if value != int(value):
+        raise ConfigError(f"key {key}: not an integer: {raw!r}")
+    return int(value)
+
+
+def _as_enum(section: dict, key: str, kind: type):
+    raw = _require(section, key)
     try:
-        as_float = float(value)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"key {key}: not an integer: {value!r}") from exc
-    if as_float != int(as_float):
-        raise ConfigError(f"key {key}: not an integer: {value!r}")
-    return int(as_float)
+        raise ConfigError(f"key {key}: unknown value {raw!r}") from exc
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, unit-converted run description (angular rad/s internally)."""
+    """Validated, unit-converted run description (angular rad/s internally).
+
+    compare holds the error windows of ``quadsim compare``: the amplitude
+    window, then the detuning window."""
 
     scenario: Scenario
     protocols: tuple[ScheduleKind, ...]
@@ -126,10 +139,7 @@ class RunConfig:
     sigma: float | None
     sweep: SweepSpec | None
     out_dir: str | None
-    compare_points: int
-    compare_amp_lo: float
-    compare_amp_hi: float
-    compare_det: float | None
+    compare: tuple[AxisWindow, ...]
     raw: dict = field(repr=False, default_factory=dict)
 
 
@@ -150,11 +160,7 @@ def load_config_text(text: str) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown key in [sweep]: {sorted(unknown)[0]}")
 
-    scenario_raw = _require(main, "scenario")
-    try:
-        scenario = Scenario(scenario_raw)
-    except ValueError as exc:
-        raise ConfigError(f"key scenario: unknown value {scenario_raw!r}") from exc
+    scenario = _as_enum(main, "scenario", Scenario)
 
     protocols: list[ScheduleKind] = []
     for name in _require(main, "protocol").split(","):
@@ -168,37 +174,30 @@ def load_config_text(text: str) -> RunConfig:
     if scenario is Scenario.TWO_LEVEL and ScheduleKind.STIRAP_GAUSSIAN in protocols:
         raise ConfigError("key protocol: stirap requires scenario = three_level")
 
+    # params field -> the config key it is read from
     if scenario is Scenario.TWO_LEVEL:
-        params: TwoLevelParams | LambdaParams = TwoLevelParams(
-            omega_m=angular(_as_float(main, "omega_m_hz"))
-            if "omega_m_hz" in main
-            else _raise_missing("omega_m_hz")
-        )
+        param_type, param_keys = TwoLevelParams, {"omega_m": "omega_m_hz"}
     else:
-        omega0 = angular(_as_float(main, "omega0_hz")) if "omega0_hz" in main else _raise_missing("omega0_hz")
-        delta_big = (
-            angular(_as_float(main, "delta_big_hz"))
-            if "delta_big_hz" in main
-            else _raise_missing("delta_big_hz")
-        )
-        gamma = angular(_as_float(main, "gamma_hz")) if "gamma_hz" in main else 0.0
-        params = LambdaParams(
-            omega_p0=omega0, omega_s0=omega0, delta_one_photon=delta_big, gamma=gamma
-        )
+        param_type, param_keys = LambdaParams, {
+            "omega_p0": "omega0_hz",
+            "omega_s0": "omega0_hz",
+            "delta_one_photon": "delta_big_hz",
+        }
+        if "gamma_hz" in main:
+            param_keys["gamma"] = "gamma_hz"
+    values = {name: angular(_as_float(main, key)) for name, key in param_keys.items()}
+    try:
+        params = param_type(**values)
+    except ValueError as exc:
+        # the params' messages start with the offending field's name
+        raise ConfigError(f"key {param_keys[str(exc).split()[0]]}: {exc}") from exc
 
     needs_delta_m = any(p in SWEEP_KINDS for p in protocols)
     if needs_delta_m and "delta_m_hz" not in main:
         raise ConfigError("missing required key: delta_m_hz")
     delta_m = angular(_as_float(main, "delta_m_hz")) if "delta_m_hz" in main else 0.0
 
-    axis = None
-    sweep_spec = None
-    if sweep_raw is not None:
-        axis_raw = _require(sweep_raw, "axis")
-        try:
-            axis = Axis(axis_raw)
-        except ValueError as exc:
-            raise ConfigError(f"key axis: unknown value {axis_raw!r}") from exc
+    axis = _as_enum(sweep_raw, "axis", Axis) if sweep_raw is not None else None
 
     per_protocol = {key: kind for key, kind in _DURATION_KEYS.items() if key in main}
     if "T_s" in main and per_protocol:
@@ -214,63 +213,25 @@ def load_config_text(text: str) -> RunConfig:
             if kind not in protocols:
                 raise ConfigError(f"key {key}: protocol {kind.value} not listed in 'protocol'")
             durations[kind] = _as_float(main, key)
-    if axis is not Axis.DURATION:
-        for p in protocols:
-            if p not in durations:
+    for p in protocols:
+        if p not in durations:
+            if axis is not Axis.DURATION:
                 raise ConfigError(f"missing required key: T_{p.value}_s (or global T_s)")
-            if durations[p] <= 0:
-                raise ConfigError(f"key T_{p.value}_s: duration must be > 0")
+        elif durations[p] <= 0:
+            raise ConfigError(f"key T_{p.value}_s: duration must be > 0")
 
     steps = _as_int(main, "steps") if "steps" in main else None
-    if "method" in main:
-        try:
-            method = Method(main["method"])
-        except ValueError as exc:
-            raise ConfigError(f"key method: unknown value {main['method']!r}") from exc
-    else:
-        method = Method.PIECEWISE_EXPM
-    if "amplitude_mode" in main:
-        try:
-            amplitude_mode = AmplitudeMode(main["amplitude_mode"])
-        except ValueError as exc:
-            raise ConfigError(
-                f"key amplitude_mode: unknown value {main['amplitude_mode']!r}"
-            ) from exc
-    else:
-        amplitude_mode = AmplitudeMode.MULTIPLICATIVE
+    if steps is not None and steps < MIN_STEPS:
+        raise ConfigError(f"key steps: must be >= {MIN_STEPS}, got {steps}")
+    method = _as_enum(main, "method", Method) if "method" in main else Method.PIECEWISE_EXPM
+    amplitude_mode = (
+        _as_enum(main, "amplitude_mode", AmplitudeMode)
+        if "amplitude_mode" in main
+        else AmplitudeMode.MULTIPLICATIVE
+    )
 
-    tau_sep = _as_float(main, "tau_sep_s") if "tau_sep_s" in main else None
-    sigma = _as_float(main, "sigma_s") if "sigma_s" in main else None
-
-    if sweep_raw is not None:
-        lo = _as_float(sweep_raw, "lo") if "lo" in sweep_raw else _raise_missing("lo")
-        hi = _as_float(sweep_raw, "hi") if "hi" in sweep_raw else _raise_missing("hi")
-        points = _as_int(sweep_raw, "points") if "points" in sweep_raw else _raise_missing("points")
-        if axis is Axis.DETUNING_OFFSET:
-            lo, hi = angular(lo), angular(hi)
-        elif axis is Axis.AMPLITUDE_SCALE and amplitude_mode is AmplitudeMode.ADDITIVE:
-            lo, hi = angular(lo), angular(hi)
-        try:
-            sweep_spec = SweepSpec(
-                scenario=scenario,
-                protocols=tuple(protocols),
-                axis=axis,
-                lo=lo,
-                hi=hi,
-                points=points,
-                params=params,
-                delta_m=delta_m,
-                durations=durations,
-                steps=steps,
-                method=method,
-                amplitude_mode=amplitude_mode,
-                tau_sep=tau_sep,
-                sigma=sigma,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
+    # the run fields RunConfig shares with SweepSpec
+    run = dict(
         scenario=scenario,
         protocols=tuple(protocols),
         params=params,
@@ -279,20 +240,47 @@ def load_config_text(text: str) -> RunConfig:
         steps=steps,
         method=method,
         amplitude_mode=amplitude_mode,
-        tau_sep=tau_sep,
-        sigma=sigma,
-        sweep=sweep_spec,
-        out_dir=main.get("out_dir"),
-        compare_points=_as_int(main, "compare_points") if "compare_points" in main else 41,
-        compare_amp_lo=_as_float(main, "compare_amp_lo") if "compare_amp_lo" in main else 0.8,
-        compare_amp_hi=_as_float(main, "compare_amp_hi") if "compare_amp_hi" in main else 1.2,
-        compare_det=angular(_as_float(main, "compare_det_hz")) if "compare_det_hz" in main else None,
-        raw={"main": dict(main), "sweep": dict(sweep_raw) if sweep_raw else None},
+        tau_sep=_as_float(main, "tau_sep_s") if "tau_sep_s" in main else None,
+        sigma=_as_float(main, "sigma_s") if "sigma_s" in main else None,
     )
 
+    sweep_spec = None
+    if sweep_raw is not None:
+        lo, hi = _as_float(sweep_raw, "lo"), _as_float(sweep_raw, "hi")
+        points = _as_int(sweep_raw, "points")
+        if axis is Axis.DETUNING_OFFSET or (
+            axis is Axis.AMPLITUDE_SCALE and amplitude_mode is AmplitudeMode.ADDITIVE
+        ):
+            lo, hi = angular(lo), angular(hi)
+        try:
+            sweep_spec = SweepSpec(**run, axis=axis, lo=lo, hi=hi, points=points)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
-def _raise_missing(key: str):
-    raise ConfigError(f"missing required key: {key}")
+    compare_points = _as_int(main, "compare_points") if "compare_points" in main else 41
+    amp_lo = _as_float(main, "compare_amp_lo") if "compare_amp_lo" in main else 0.8
+    amp_hi = _as_float(main, "compare_amp_hi") if "compare_amp_hi" in main else 1.2
+    det = reference_gap(params)
+    if "compare_det_hz" in main:
+        det = angular(_as_float(main, "compare_det_hz"))
+    compare = (
+        AxisWindow(Axis.AMPLITUDE_SCALE, amp_lo, amp_hi, compare_points),
+        AxisWindow(Axis.DETUNING_OFFSET, -det, det, compare_points),
+    )
+    window_keys = ("compare_amp_lo, compare_amp_hi, compare_points", "compare_det_hz, compare_points")
+    for keys, window in zip(window_keys, compare):
+        try:
+            window.check(amplitude_mode)
+        except ValueError as exc:
+            raise ConfigError(f"keys {keys}: {exc}") from exc
+
+    return RunConfig(
+        **run,
+        sweep=sweep_spec,
+        out_dir=main.get("out_dir"),
+        compare=compare,
+        raw={"main": dict(main), "sweep": dict(sweep_raw) if sweep_raw else None},
+    )
 
 
 def preset_names() -> list[str]:

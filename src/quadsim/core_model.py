@@ -160,28 +160,22 @@ def two_level_hamiltonian(delta: float, params: TwoLevelParams) -> np.ndarray:
     Differs from :func:`lz_hamiltonian` by the scalar shift (delta/2)*I, so
     populations under evolution are identical.
     """
-    _require_finite("delta", delta)
-    om = params.omega_m
-    return 0.5 * np.array([[2.0 * delta, om], [om, 0.0]], dtype=complex)
+    delta = _require_finite("delta", delta)
+    return TwoLevelModel(params).hamiltonian_batch(
+        np.array([delta]), np.array([params.omega_m]), np.zeros(1)
+    )[0]
 
 
 def lambda_hamiltonian(
     delta: float, omega_p: float, omega_s: float, params: LambdaParams
 ) -> np.ndarray:
     """Three-level Lambda Hamiltonian with non-Hermitian decay on level 3."""
-    _require_finite("delta", delta)
-    _require_finite("omega_p", omega_p)
-    _require_finite("omega_s", omega_s)
-    om = params.omega_m
-    dd = params.delta_one_photon - 1j * params.gamma
-    return 0.5 * np.array(
-        [
-            [2.0 * delta, om, omega_p],
-            [om, 0.0, omega_s],
-            [omega_p, omega_s, 2.0 * dd],
-        ],
-        dtype=complex,
-    )
+    delta = _require_finite("delta", delta)
+    omega_p = _require_finite("omega_p", omega_p)
+    omega_s = _require_finite("omega_s", omega_s)
+    return LambdaModel(params).hamiltonian_batch(
+        np.array([delta]), np.array([omega_p]), np.array([omega_s])
+    )[0]
 
 
 def lz_eigensystem(delta: float, omega: float) -> Eigensystem2:
@@ -224,6 +218,14 @@ def three_level_gap(params: LambdaParams) -> float:
     dd = params.delta_one_photon
     # hypot-based form avoids cancellation for Delta >> Omega_0
     return om0 * om0 / (math.hypot(dd, om0) + dd) if om0 > 0 else 0.0
+
+
+def reference_gap(params: TwoLevelParams | LambdaParams) -> float:
+    """The minimum gap every sweep schedule is built on: Omega_M for the
+    two-level system, :func:`three_level_gap` for the Lambda system."""
+    if isinstance(params, TwoLevelParams):
+        return params.omega_m
+    return three_level_gap(params)
 
 
 class TwoLevelModel:

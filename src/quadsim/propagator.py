@@ -31,6 +31,12 @@ _CHUNK = 65536
 _NORM_ABORT = 1e-6
 
 DEFAULT_STEPS = {2: 100_000, 3: 500_000}
+MIN_STEPS = 10
+
+
+def resolve_steps(steps: int | None, dim: int) -> int:
+    """`steps` when given, else the default step count for a `dim`-level system."""
+    return DEFAULT_STEPS[dim] if steps is None else int(steps)
 
 
 class Method(enum.Enum):
@@ -145,9 +151,9 @@ def evolve(req: EvolveRequest) -> EvolveResult:
     dim = model.dim
     if req.initial.dim != dim:
         raise ValueError(f"state dimension {req.initial.dim} != model dimension {dim}")
-    steps = DEFAULT_STEPS[dim] if req.steps is None else int(req.steps)
-    if steps < 10:
-        raise ValueError("steps must be >= 10")
+    steps = resolve_steps(req.steps, dim)
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be >= {MIN_STEPS}")
     gamma = getattr(model, "gamma", 0.0)
     if req.time_reversed and gamma != 0.0:
         raise ValueError("time reversal requires gamma = 0")
@@ -235,7 +241,7 @@ def convergence_probe(req: EvolveRequest, refinements: int = 4) -> ConvergenceRe
     """
     if refinements < 3:
         raise ValueError("refinements must be >= 3")
-    base = DEFAULT_STEPS[req.model.dim] if req.steps is None else int(req.steps)
+    base = resolve_steps(req.steps, req.model.dim)
     levels = [base * 2**j for j in range(refinements + 1)]
     finals = [
         evolve(replace(req, steps=n, store_trajectory=False)).final.amplitudes

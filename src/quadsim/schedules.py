@@ -121,8 +121,8 @@ def adiabaticity_sprime(delta, ddelta_dt, omega: float):
 class PulseSchedule:
     """A protocol's time-dependent controls over [0, duration].
 
-    omega_ref is the minimum gap entering the sweep construction (Omega_M for
-    the two-level system, the Lambda gap for three-level sweeps).
+    omega_ref is the minimum gap entering the sweep construction, as given by
+    :func:`quadsim.core_model.reference_gap`.
     drive_amplitude is the constant coupling amplitude fed to the Hamiltonian
     (for STIRAP_GAUSSIAN it is the Gaussian peak); drive_amplitude_s, when
     set, gives the Stokes leg its own constant amplitude.  tau_sep and sigma

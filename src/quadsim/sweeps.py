@@ -8,8 +8,9 @@ delta(t), leaving the one-photon detuning untouched; a duration point rebuilds
 the schedule at that total time.
 
 Axis points are independent tasks.  Set QUAD_WORKERS > 1 to run them in a
-process pool; results are assembled in axis order either way, so output is
-identical for any worker count.
+process pool of min(QUAD_WORKERS, cpu count, number of tasks) workers; a value
+that is not an integer >= 1 is rejected.  Results are assembled in axis order
+either way, so output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import enum
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,15 +31,15 @@ from .core_model import (
     QuantumState,
     TwoLevelModel,
     TwoLevelParams,
-    three_level_gap,
+    reference_gap,
 )
 from .propagator import (
-    DEFAULT_STEPS,
     EvolveRequest,
     EvolveResult,
     IntegrationError,
     Method,
     evolve,
+    resolve_steps,
 )
 from .schedules import SWEEP_KINDS, PulseSchedule, ScheduleKind
 
@@ -86,24 +87,20 @@ def make_schedule(
 ) -> PulseSchedule:
     """Build a protocol's schedule for the given scenario.
 
-    Sweep schedules reference the system's minimum gap: Omega_M directly for
-    the two-level system, sqrt(Delta^2+Omega_0^2)-Delta for the Lambda system.
+    Sweep schedules reference the system's minimum gap, :func:`reference_gap`.
     """
     if scenario is Scenario.TWO_LEVEL:
         if protocol is ScheduleKind.STIRAP_GAUSSIAN:
             raise ValueError("STIRAP requires the three-level scenario")
-        omega_ref = params.omega_m
-        drive = params.omega_m
-        drive_s = None
+        drive, drive_s = params.omega_m, None
     else:
-        omega_ref = three_level_gap(params)
-        drive = params.omega_p0
-        drive_s = params.omega_s0
+        drive, drive_s = params.omega_p0, params.omega_s0
+    sweep = protocol in SWEEP_KINDS
     return PulseSchedule(
         kind=protocol,
         duration=duration,
-        delta_m=delta_m if protocol in SWEEP_KINDS else 0.0,
-        omega_ref=omega_ref if protocol in SWEEP_KINDS else 0.0,
+        delta_m=delta_m if sweep else 0.0,
+        omega_ref=reference_gap(params) if sweep else 0.0,
         drive_amplitude=drive,
         drive_amplitude_s=drive_s,
         tau_sep=tau_sep,
@@ -144,6 +141,36 @@ def run_protocol(
 
 
 @dataclass(frozen=True)
+class AxisWindow:
+    """An error axis sampled at `points` evenly spaced values from lo to hi."""
+
+    axis: Axis
+    lo: float
+    hi: float
+    points: int = 41
+
+    def check(self, amplitude_mode: AmplitudeMode) -> None:
+        """Raise ValueError unless lo < hi, points >= 2 and, for a
+        multiplicative amplitude axis, the window lies in (0, 2]."""
+        if not self.lo < self.hi:
+            raise ValueError("sweep range requires lo < hi")
+        if self.points < 2:
+            raise ValueError("points must be >= 2")
+        if self.axis is Axis.AMPLITUDE_SCALE and amplitude_mode is AmplitudeMode.MULTIPLICATIVE:
+            if self.lo <= 0 or self.hi > 2:
+                raise ValueError("multiplicative amplitude range must lie in (0, 2]")
+
+    def nominal(self, amplitude_mode: AmplitudeMode) -> float | None:
+        """The axis value that leaves the controls unperturbed (none on a
+        duration axis)."""
+        if self.axis is Axis.DURATION:
+            return None
+        if self.axis is Axis.AMPLITUDE_SCALE and amplitude_mode is AmplitudeMode.MULTIPLICATIVE:
+            return 1.0
+        return 0.0
+
+
+@dataclass(frozen=True)
 class SweepSpec:
     """One sweep: protocols x axis grid over a shared parameter set.
 
@@ -170,13 +197,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.protocols:
             raise ValueError("at least one protocol required")
-        if not self.lo < self.hi:
-            raise ValueError("sweep range requires lo < hi")
-        if self.points < 2:
-            raise ValueError("points must be >= 2")
-        if self.axis is Axis.AMPLITUDE_SCALE and self.amplitude_mode is AmplitudeMode.MULTIPLICATIVE:
-            if self.lo <= 0 or self.hi > 2:
-                raise ValueError("multiplicative amplitude range must lie in (0, 2]")
+        AxisWindow(self.axis, self.lo, self.hi, self.points).check(self.amplitude_mode)
         if self.axis is not Axis.DURATION:
             for protocol in self.protocols:
                 duration = self.durations.get(protocol)
@@ -218,9 +239,8 @@ class SweepResult:
 
 
 def _resolved_steps(spec: SweepSpec) -> int:
-    if spec.steps is not None:
-        return int(spec.steps)
-    return DEFAULT_STEPS[2 if spec.scenario is Scenario.TWO_LEVEL else 3]
+    model = TwoLevelModel if spec.scenario is Scenario.TWO_LEVEL else LambdaModel
+    return resolve_steps(spec.steps, model.dim)
 
 
 def _sweep_task(args) -> SweepRow:
@@ -231,30 +251,24 @@ def _sweep_task(args) -> SweepRow:
         scale, aoff, doff = 1.0, 0.0, 0.0
     else:
         duration = float(spec.durations[protocol])
-        scale = float(value) if (
-            spec.axis is Axis.AMPLITUDE_SCALE
-            and spec.amplitude_mode is AmplitudeMode.MULTIPLICATIVE
-        ) else 1.0
-        aoff = float(value) if (
-            spec.axis is Axis.AMPLITUDE_SCALE
-            and spec.amplitude_mode is AmplitudeMode.ADDITIVE
-        ) else 0.0
+        amplitude = spec.axis is Axis.AMPLITUDE_SCALE
+        multiplicative = spec.amplitude_mode is AmplitudeMode.MULTIPLICATIVE
+        scale = float(value) if amplitude and multiplicative else 1.0
+        aoff = float(value) if amplitude and not multiplicative else 0.0
         doff = float(value) if spec.axis is Axis.DETUNING_OFFSET else 0.0
 
+    point = dict(
+        protocol=protocol.value,
+        scenario=spec.scenario.value,
+        axis=spec.axis.value,
+        axis_value=float(value),
+        method=spec.method.value,
+    )
     if duration <= 0.0:
         # zero-duration point on a DURATION scan: the exact limit is the
         # identity map, so the state stays |1> and no transfer occurs
         return SweepRow(
-            protocol=protocol.value,
-            scenario=spec.scenario.value,
-            axis=spec.axis.value,
-            axis_value=float(value),
-            duration=0.0,
-            fidelity=0.0,
-            error=1.0,
-            final_norm_sq=1.0,
-            method=spec.method.value,
-            steps=0,
+            **point, duration=0.0, fidelity=0.0, error=1.0, final_norm_sq=1.0, steps=0
         )
 
     try:
@@ -278,25 +292,26 @@ def _sweep_task(args) -> SweepRow:
         ) from exc
     metrics = transfer_metrics(result.final, TARGET_INDEX)
     return SweepRow(
-        protocol=protocol.value,
-        scenario=spec.scenario.value,
-        axis=spec.axis.value,
-        axis_value=float(value),
+        **point,
         duration=duration,
         fidelity=metrics.fidelity,
         error=metrics.error,
         final_norm_sq=metrics.final_norm_sq,
-        method=spec.method.value,
         steps=steps,
     )
 
 
-def _worker_count() -> int:
+def worker_count() -> int:
+    """The pool size QUAD_WORKERS asks for (1 when unset); ValueError unless
+    it is an integer >= 1."""
     raw = os.environ.get("QUAD_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"QUAD_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -304,7 +319,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     grid = spec.grid()
     tasks = [(spec, protocol, value) for protocol in spec.protocols for value in grid]
     started = time.monotonic()
-    workers = _worker_count()
+    workers = min(worker_count(), os.cpu_count() or 1, len(tasks))
     if workers > 1:
         chunksize = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -317,17 +332,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def spec_metadata(spec: SweepSpec) -> dict:
-    params = spec.params
-    if isinstance(params, TwoLevelParams):
-        param_echo = {"omega_m": params.omega_m}
-    else:
-        param_echo = {
-            "omega_p0": params.omega_p0,
-            "omega_s0": params.omega_s0,
-            "omega_m": params.omega_m,
-            "delta_one_photon": params.delta_one_photon,
-            "gamma": params.gamma,
-        }
     return {
         "scenario": spec.scenario.value,
         "protocols": [p.value for p in spec.protocols],
@@ -335,7 +339,7 @@ def spec_metadata(spec: SweepSpec) -> dict:
         "lo": spec.lo,
         "hi": spec.hi,
         "points": spec.points,
-        "params": param_echo,
+        "params": asdict(spec.params),
         "delta_m": spec.delta_m,
         "durations": {p.value: t for p, t in spec.durations.items()},
         "steps": _resolved_steps(spec),
@@ -358,14 +362,6 @@ def write_sweep_csv(result: SweepResult, path) -> None:
                 f"{r.axis_value:.15e},{r.duration:.15e},{r.fidelity:.15e},"
                 f"{r.error:.15e},{r.final_norm_sq:.15e},{r.method},{r.steps}\n"
             )
-
-
-@dataclass(frozen=True)
-class AxisWindow:
-    axis: Axis
-    lo: float
-    hi: float
-    points: int = 41
 
 
 @dataclass(frozen=True)
@@ -431,15 +427,45 @@ def compare_protocols(
     sigma: float | None = None,
 ) -> ComparisonResult:
     """Cross protocols with error axes; summarize worst-case errors and
-    pairwise dominance."""
+    pairwise dominance.
+
+    A protocol's on-axis fidelity is taken from the first window row whose
+    axis value is exactly that window's nominal value; the protocol is run
+    once more, unperturbed, only when no window samples it."""
     protocols = tuple(protocol_durations.keys())
     summaries: list[ProtocolSummary] = []
     dominance: list[DominanceRow] = []
-    sweeps: dict[Axis, SweepResult] = {}
+
+    runs: list[tuple[AxisWindow, SweepResult]] = []
+    for window in error_axes:
+        spec = SweepSpec(
+            **asdict(window),
+            scenario=scenario,
+            protocols=protocols,
+            params=params,
+            delta_m=delta_m,
+            durations=dict(protocol_durations),
+            steps=steps,
+            method=method,
+            amplitude_mode=amplitude_mode,
+            tau_sep=tau_sep,
+            sigma=sigma,
+        )
+        runs.append((window, run_sweep(spec)))
 
     on_axis: dict[ScheduleKind, float] = {}
     for protocol in protocols:
-        result = run_protocol(
+        sampled = [
+            row.fidelity
+            for window, result in runs
+            for row in result.rows
+            if row.protocol == protocol.value
+            and row.axis_value == window.nominal(amplitude_mode)
+        ]
+        if sampled:
+            on_axis[protocol] = sampled[0]
+            continue
+        nominal_run = run_protocol(
             scenario,
             params,
             protocol,
@@ -450,27 +476,9 @@ def compare_protocols(
             tau_sep=tau_sep,
             sigma=sigma,
         )
-        on_axis[protocol] = transfer_metrics(result.final, TARGET_INDEX).fidelity
+        on_axis[protocol] = transfer_metrics(nominal_run.final, TARGET_INDEX).fidelity
 
-    for window in error_axes:
-        spec = SweepSpec(
-            scenario=scenario,
-            protocols=protocols,
-            axis=window.axis,
-            lo=window.lo,
-            hi=window.hi,
-            points=window.points,
-            params=params,
-            delta_m=delta_m,
-            durations=dict(protocol_durations),
-            steps=steps,
-            method=method,
-            amplitude_mode=amplitude_mode,
-            tau_sep=tau_sep,
-            sigma=sigma,
-        )
-        result = run_sweep(spec)
-        sweeps[window.axis] = result
+    for window, result in runs:
         errors = {p: result.errors_for(p) for p in protocols}
         for protocol in protocols:
             summaries.append(
@@ -497,6 +505,7 @@ def compare_protocols(
                         dominates=frac >= DOMINANCE_THRESHOLD,
                     )
                 )
+    sweeps = {window.axis: result for window, result in runs}
     return ComparisonResult(summaries=summaries, dominance=dominance, sweeps=sweeps)
 
 

@@ -376,3 +376,43 @@ def test_preset_resolution_through_cli(tmp_path, capsys, monkeypatch):
     # fig2b has three protocols, so simulate must refuse cleanly
     assert code == 1
     assert "exactly one protocol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, old, new, key",
+    [
+        ("simulate", "steps = 4000", "steps = 1e400", "steps"),
+        ("simulate", "steps = 4000", "steps = nan", "steps"),
+        ("simulate", "steps = 4000", "steps = 5", "steps"),
+        ("compare", "steps = 4000", "steps = 5", "steps"),
+        ("sweep", "steps = 4000", "steps = 5", "steps"),
+        ("simulate", "omega_m_hz = 150e3", "omega_m_hz = nan", "omega_m_hz"),
+        ("simulate", "omega_m_hz = 150e3", "omega_m_hz = -5", "omega_m_hz"),
+        (
+            "simulate",
+            "scenario = two_level\nprotocol = siquad\nomega_m_hz = 150e3",
+            "scenario = three_level\nprotocol = siquad\nomega0_hz = 5e6\ndelta_big_hz = -1e9",
+            "delta_big_hz",
+        ),
+        ("simulate", "T_s = 1.9433333333333333e-05", "T_s = nan", "T_s"),
+        ("compare", "steps = 4000", "steps = 4000\ncompare_points = 1", "compare_points"),
+        ("compare", "steps = 4000", "steps = 4000\ncompare_amp_lo = 1.3", "compare_amp_lo"),
+        ("compare", "steps = 4000", "steps = 4000\ncompare_det_hz = 0", "compare_det_hz"),
+    ],
+)
+def test_invalid_value_is_config_error(tmp_path, capsys, command, old, new, key):
+    text = TWO_LEVEL_BASE + "\n[sweep]\naxis = amplitude_scale\nlo = 0.9\nhi = 1.1\npoints = 3\n"
+    assert old in text
+    cfg_path = write_config(tmp_path, text.replace(old, new))
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "0"])
+def test_bad_worker_count_is_config_error(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("QUAD_WORKERS", raw)
+    cfg_path = write_config(tmp_path, SWEEP_CFG)
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "QUAD_WORKERS" in err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from quadsim import (
     compare_protocols,
     run_protocol,
     run_sweep,
+    sweeps,
     transfer_metrics,
     write_sweep_csv,
 )
@@ -200,6 +202,38 @@ class TestRunSweep:
         parallel = run_sweep(spec).rows
         assert serial == parallel
 
+    def test_pool_capped_by_cpu_count_and_tasks(self, two_level_params, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.delenv("QUAD_WORKERS", raising=False)
+        spec = two_level_spec(two_level_params, steps=200)  # 2 protocols x 5 points
+        serial = run_sweep(spec).rows
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("QUAD_WORKERS", "64")
+        for cpus in (3, 256, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run_sweep(spec).rows == serial
+        assert sizes == [3, 10]  # an unknown cpu count means one worker: no pool
+
+    @pytest.mark.parametrize("raw", ["abc", "-3", "0", "2.5"])
+    def test_bad_worker_count_rejected(self, two_level_params, monkeypatch, raw):
+        monkeypatch.setenv("QUAD_WORKERS", raw)
+        with pytest.raises(ValueError, match="QUAD_WORKERS"):
+            run_sweep(two_level_spec(two_level_params))
+
     def test_metadata_echoes_spec(self, two_level_params):
         spec = two_level_spec(two_level_params)
         meta = run_sweep(spec).metadata
@@ -236,8 +270,11 @@ class TestSweepCsv:
 
 
 class TestCompareProtocols:
-    def test_single_protocol_degenerates_to_metrics(self, two_level_params):
-        window = AxisWindow(Axis.AMPLITUDE_SCALE, 0.99, 1.01, points=3)
+    # 3 points sample the nominal scale 1.0; 4 points miss it, so the
+    # on-axis value comes from a separate nominal run
+    @pytest.mark.parametrize("points", [3, 4])
+    def test_single_protocol_degenerates_to_metrics(self, two_level_params, points):
+        window = AxisWindow(Axis.AMPLITUDE_SCALE, 0.99, 1.01, points=points)
         result = compare_protocols(
             Scenario.TWO_LEVEL,
             two_level_params,
@@ -251,6 +288,39 @@ class TestCompareProtocols:
             Scenario.TWO_LEVEL, two_level_params, ScheduleKind.FLAT_PI, TAU_PI, steps=5000
         )
         assert result.summaries[0].on_axis_fidelity == transfer_metrics(direct.final, 1).fidelity
+
+    def test_on_axis_reuses_nominal_rows(self, two_level_params, monkeypatch):
+        monkeypatch.delenv("QUAD_WORKERS", raising=False)
+        calls = []
+        evolve = sweeps.evolve
+
+        def counting_evolve(req):
+            calls.append(req)
+            return evolve(req)
+
+        monkeypatch.setattr(sweeps, "evolve", counting_evolve)
+        windows = [
+            AxisWindow(Axis.AMPLITUDE_SCALE, 0.9, 1.1, points=3),
+            AxisWindow(Axis.DETUNING_OFFSET, -OMEGA_M, OMEGA_M, points=3),
+        ]
+        result = compare_protocols(
+            Scenario.TWO_LEVEL,
+            two_level_params,
+            {ScheduleKind.SIQUAD: T_SI, ScheduleKind.FLAT_PI: TAU_PI},
+            windows,
+            delta_m=DELTA_M,
+            steps=2000,
+        )
+        assert len(calls) == 12  # 2 protocols x 2 windows x 3 points, no extra runs
+        nominal = {Axis.AMPLITUDE_SCALE: 1.0, Axis.DETUNING_OFFSET: 0.0}
+        for summary in result.summaries:
+            axis = Axis(summary.axis)
+            (row,) = [
+                r
+                for r in result.sweeps[axis].rows
+                if r.protocol == summary.protocol and r.axis_value == nominal[axis]
+            ]
+            assert summary.on_axis_fidelity == row.fidelity
 
     def test_dominance_table_structure(self, two_level_params):
         # 41-point windows: the flat pulse only wins in a sliver around the
