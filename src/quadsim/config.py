@@ -230,6 +230,15 @@ def load_config_text(text: str) -> RunConfig:
         else AmplitudeMode.MULTIPLICATIVE
     )
 
+    tau_sep = _as_float(main, "tau_sep_s") if "tau_sep_s" in main else None
+    sigma = _as_float(main, "sigma_s") if "sigma_s" in main else None
+    if sigma is not None and sigma <= 0:
+        raise ConfigError("key sigma_s: must be > 0")
+    # only the STIRAP pulse pair uses tau_sep, so only its duration bounds it
+    stirap_t = durations.get(ScheduleKind.STIRAP_GAUSSIAN, math.inf)
+    if tau_sep is not None and not 0 < tau_sep < stirap_t:
+        raise ConfigError("key tau_sep_s: must be > 0 and below the stirap duration")
+
     # the run fields RunConfig shares with SweepSpec
     run = dict(
         scenario=scenario,
@@ -240,8 +249,8 @@ def load_config_text(text: str) -> RunConfig:
         steps=steps,
         method=method,
         amplitude_mode=amplitude_mode,
-        tau_sep=_as_float(main, "tau_sep_s") if "tau_sep_s" in main else None,
-        sigma=_as_float(main, "sigma_s") if "sigma_s" in main else None,
+        tau_sep=tau_sep,
+        sigma=sigma,
     )
 
     sweep_spec = None
@@ -258,8 +267,16 @@ def load_config_text(text: str) -> RunConfig:
             raise ConfigError(str(exc)) from exc
 
     compare_points = _as_int(main, "compare_points") if "compare_points" in main else 41
-    amp_lo = _as_float(main, "compare_amp_lo") if "compare_amp_lo" in main else 0.8
-    amp_hi = _as_float(main, "compare_amp_hi") if "compare_amp_hi" in main else 1.2
+    if amplitude_mode is AmplitudeMode.ADDITIVE:
+        # offsets in Hz like the [sweep] lo/hi; by default +-0.2 of the drive
+        drive = params.omega_m if scenario is Scenario.TWO_LEVEL else params.omega_p0
+        amp_unit, amp_default = angular, (-0.2 * drive, 0.2 * drive)
+    else:
+        amp_unit, amp_default = float, (0.8, 1.2)
+    amp_lo, amp_hi = (
+        amp_unit(_as_float(main, key)) if key in main else default
+        for key, default in zip(("compare_amp_lo", "compare_amp_hi"), amp_default)
+    )
     det = reference_gap(params)
     if "compare_det_hz" in main:
         det = angular(_as_float(main, "compare_det_hz"))

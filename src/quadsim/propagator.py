@@ -29,6 +29,13 @@ from .schedules import PulseSchedule
 
 _CHUNK = 65536
 _NORM_ABORT = 1e-6
+# matrices per structure-of-arrays block of the Taylor kernel.  A 3x3 block is
+# 295 KB, so the block, its powers and the partial sum stay in cache; on a
+# 2-core Xeon (2 MB L2 per core) 2048 and 4096 timed within 10 % of each
+# other, 512 and 16384 about 50 % slower
+_BLOCK = 2048
+_INV_FACT = [1.0 / math.factorial(j) for j in range(17)]
+_CSV_ROWS = 4096
 
 DEFAULT_STEPS = {2: 100_000, 3: 500_000}
 MIN_STEPS = 10
@@ -76,49 +83,124 @@ class EvolveResult:
 
 
 def expm_small(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential for small dense matrices (batched over leading axes)
-    by scaling and squaring with a fixed 16-term Taylor series.
+    """Matrix exponential for small dense matrices (batched over leading axes).
 
-    The batch is scaled by a power of two so every Frobenius norm is <= 0.5,
-    the series is summed by Horner's rule, and the result squared back.
-    Accurate to ~1e-12 relative in Frobenius norm for finite input.
+    2x2 matrices use the exact closed form: with A = m*I + N, N traceless and
+    s^2 = n00^2 + n01*n10, exp(A) = e^m*(cosh(s)*I + sinh(s)/s*N).  It holds
+    for complex s, so for non-Hermitian A too, and needs no scaling.  Both
+    coefficients are formed from e^(m+s) and expm1(-2s) with Re(s) >= 0, so
+    they neither overflow where exp(A) is finite nor cancel as s -> 0; s = 0
+    (a nilpotent or scalar A) takes sinh(s)/s = 1.
+
+    Larger matrices use scaling and squaring: the batch is scaled by one power
+    of two so every Frobenius norm is <= 0.5, the degree-16 Taylor polynomial
+    is evaluated by Paterson-Stockmeyer and the result squared back.  The
+    products are elementwise over a structure-of-arrays copy, (n, n, batch),
+    taken in cache-sized blocks.
+
+    Accurate to ~1e-12 relative in Frobenius norm for finite input.  The
+    result may be a view onto structure-of-arrays storage.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite matrix entries")
-    norms = np.linalg.norm(a, axis=(-2, -1))
+    if a.shape[-1] == 2:
+        return _expm_2x2(a)
+    return _expm_scaled_taylor(a)
+
+
+def _expm_2x2(a: np.ndarray) -> np.ndarray:
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    m = 0.5 * (a00 + a11)
+    d = 0.5 * (a00 - a11)
+    s = np.sqrt(d * d + a01 * a10)
+    up = np.exp(m + s)
+    g = np.expm1(-2.0 * s)
+    cosh_m = up * (1.0 + 0.5 * g)  # e^m cosh(s)
+    sinhc_m = np.ones_like(s)  # e^m sinh(s)/s
+    np.divide(-0.5 * g, s, out=sinhc_m, where=s != 0)
+    sinhc_m *= up
+    nd = sinhc_m * d
+    out = np.empty((2, 2) + a.shape[:-2], dtype=complex)
+    out[0, 0] = cosh_m + nd
+    out[0, 1] = sinhc_m * a01
+    out[1, 0] = sinhc_m * a10
+    out[1, 1] = cosh_m - nd
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def _expm_scaled_taylor(a: np.ndarray) -> np.ndarray:
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    norms = np.linalg.norm(flat, axis=(-2, -1))
     max_norm = float(np.max(norms)) if norms.size else 0.0
     k = 0 if max_norm <= 0.5 else int(math.ceil(math.log2(max_norm / 0.5)))
-    b = a / (2.0**k)
-    n = a.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=complex), b.shape)
-    p = eye.copy()
-    for j in range(16, 0, -1):
-        p = eye + (b / j) @ p
-    for _ in range(k):
-        p = p @ p
+    scale = 2.0**-k
+    out = np.empty((n, n, flat.shape[0]), dtype=complex)
+    for lo in range(0, flat.shape[0], _BLOCK):
+        p = _taylor16(scale * _to_soa(flat[lo : lo + _BLOCK]))
+        for _ in range(k):
+            p = _mul(p, p)
+        out[..., lo : lo + _BLOCK] = p
+    return _from_soa(out).reshape(a.shape)
+
+
+def _taylor16(b: np.ndarray) -> np.ndarray:
+    # sum_{j<=16} b^j/j! as Q0 + b4 (Q1 + b4 (Q2 + b4 (Q3 + b4/16!))), where
+    # Qi = sum_{r<4} b^(4i+r)/(4i+r)!: 6 products instead of Horner's 15
+    b2 = _mul(b, b)
+    b4 = _mul(b2, b2)
+    powers = (b, b2, _mul(b2, b))
+    p = _INV_FACT[16] * b4
+    for i in (3, 2, 1, 0):
+        for r, power in enumerate(powers, start=1):
+            p += _INV_FACT[4 * i + r] * power
+        for d in range(b.shape[0]):
+            p[d, d] += _INV_FACT[4 * i]
+        if i:
+            p = _mul(b4, p)
     return p
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x @ y for matrices held along the two leading axes, (n, n, batch)
+    out = x[:, :1] * y[:1]
+    for j in range(1, x.shape[0]):
+        out += x[:, j : j + 1] * y[j : j + 1]
+    return out
+
+
+def _to_soa(u: np.ndarray) -> np.ndarray:
+    """(batch, n, n) -> contiguous (n, n, batch); no copy when u came from _from_soa."""
+    return np.ascontiguousarray(np.moveaxis(u, 0, -1))
+
+
+def _from_soa(x: np.ndarray) -> np.ndarray:
+    return np.moveaxis(x, -1, 0)
 
 
 def _unitarize(u: np.ndarray) -> np.ndarray:
     # one Newton step toward the polar factor; keeps gamma=0 step maps unitary
     # to machine precision so norm drift stays ~N*eps even at 1e6 steps
-    eye = np.broadcast_to(np.eye(u.shape[-1], dtype=complex), u.shape)
-    gram = np.conj(np.swapaxes(u, -1, -2)) @ u
-    return u @ (1.5 * eye - 0.5 * gram)
+    x = _to_soa(u)
+    corr = _mul(np.conj(np.swapaxes(x, 0, 1)), x)
+    corr *= -0.5
+    for d in range(x.shape[0]):
+        corr[d, d] += 1.5
+    return _from_soa(_mul(x, corr))
 
 
 def _chain_apply(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     # psi -> U[m-1] @ ... @ U[0] @ psi via pairwise products (vectorized)
-    m = u
-    while m.shape[0] > 1:
-        n = m.shape[0]
+    m = _to_soa(u)
+    while m.shape[-1] > 1:
+        n = m.shape[-1]
         even = (n // 2) * 2
-        paired = m[1:even:2] @ m[0:even:2]
-        m = np.concatenate([paired, m[-1:]], axis=0) if n % 2 else paired
-    return m[0] @ psi
+        paired = _mul(m[..., 1:even:2], m[..., 0:even:2])
+        m = np.concatenate([paired, m[..., -1:]], axis=-1) if n % 2 else paired
+    return m[..., 0] @ psi
 
 
 def _check_state(psi: np.ndarray) -> float:
@@ -262,7 +344,10 @@ def convergence_probe(req: EvolveRequest, refinements: int = 4) -> ConvergenceRe
 
 
 def write_trajectory_csv(result: EvolveResult, path) -> None:
-    """Dump a stored trajectory: t_s, re/im of each amplitude, norm_sq, populations."""
+    """Dump a stored trajectory: t_s, re/im of each amplitude, norm_sq, populations.
+
+    Each value is written as format(x, ".15e").  Rows are formatted from a
+    float table in blocks of _CSV_ROWS, which bounds the extra memory."""
     if result.trajectory is None:
         raise ValueError("result has no stored trajectory")
     times, states = result.trajectory
@@ -272,13 +357,16 @@ def write_trajectory_csv(result: EvolveResult, path) -> None:
         cols += [f"re_{i + 1}", f"im_{i + 1}"]
     cols.append("norm_sq")
     cols += [f"pop_{i + 1}" for i in range(dim)]
+    row_format = ",".join(["%.15e"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for t, psi in zip(times, states):
-            pops = np.abs(psi) ** 2
-            vals = [t]
-            for i in range(dim):
-                vals += [psi[i].real, psi[i].imag]
-            vals.append(float(np.sum(pops)))
-            vals += list(pops)
-            fh.write(",".join(format(x, ".15e") for x in vals) + "\n")
+        for lo in range(0, len(times), _CSV_ROWS):
+            block = states[lo : lo + _CSV_ROWS]
+            pops = np.abs(block) ** 2
+            table = np.empty((len(block), len(cols)))
+            table[:, 0] = times[lo : lo + _CSV_ROWS]
+            table[:, 1 : 2 * dim : 2] = block.real
+            table[:, 2 : 2 * dim + 1 : 2] = block.imag
+            table[:, 2 * dim + 1] = np.sum(pops, axis=1)
+            table[:, 2 * dim + 2 :] = pops
+            fh.write("".join(row_format % tuple(row) for row in table.tolist()))

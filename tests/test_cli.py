@@ -105,6 +105,14 @@ T_s = 2.85e-3
         assert cfg.sweep.lo == pytest.approx(-angular(150e3))
         assert cfg.sweep.hi == pytest.approx(angular(150e3))
 
+    def test_additive_compare_window_read_in_hz(self):
+        text = TWO_LEVEL_BASE + "amplitude_mode = additive\n"
+        window = load_config_text(text).compare[0]
+        assert (window.lo, window.hi) == (-0.2 * angular(150e3), 0.2 * angular(150e3))
+        text += "compare_amp_lo = -10e3\ncompare_amp_hi = 20e3\n"
+        window = load_config_text(text).compare[0]
+        assert (window.lo, window.hi) == (angular(-10e3), angular(20e3))
+
     def test_duration_axis_does_not_need_t_key(self):
         text = TWO_LEVEL_BASE.replace("T_s = 1.9433333333333333e-05\n", "")
         text += "\n[sweep]\naxis = duration\nlo = 0\nhi = 3.3e-5\npoints = 5\n"
@@ -335,6 +343,17 @@ compare_points = 5
         assert dom[0] == "axis,protocol_a,protocol_b,fraction_a_le_b,dominates"
         assert len(dom) == 5
 
+    def test_additive_amplitude_window_perturbs(self, tmp_path, capsys):
+        # the default additive window is +-0.2 of the drive amplitude
+        cfg_path = write_config(
+            tmp_path, TWO_LEVEL_BASE + "amplitude_mode = additive\ncompare_points = 3\n", "add.cfg"
+        )
+        assert main(["compare", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "add.compare_worst.csv").read_text().splitlines()[1:]
+        amplitude = next(r.split(",") for r in rows if r.startswith("amplitude_scale"))
+        on_axis_error, worst_error = float(amplitude[4]), float(amplitude[5])
+        assert worst_error > 1.2 * on_axis_error
+
     def test_conflicting_duration_keys_exit_one(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path,
@@ -398,6 +417,18 @@ def test_preset_resolution_through_cli(tmp_path, capsys, monkeypatch):
         ("compare", "steps = 4000", "steps = 4000\ncompare_points = 1", "compare_points"),
         ("compare", "steps = 4000", "steps = 4000\ncompare_amp_lo = 1.3", "compare_amp_lo"),
         ("compare", "steps = 4000", "steps = 4000\ncompare_det_hz = 0", "compare_det_hz"),
+        (
+            "simulate",
+            "scenario = two_level\nprotocol = siquad\nomega_m_hz = 150e3",
+            "scenario = three_level\nprotocol = stirap\nomega0_hz = 5e6\ndelta_big_hz = 10e9\nsigma_s = 0",
+            "sigma_s",
+        ),
+        (
+            "simulate",
+            "scenario = two_level\nprotocol = siquad\nomega_m_hz = 150e3",
+            "scenario = three_level\nprotocol = stirap\nomega0_hz = 5e6\ndelta_big_hz = 10e9\ntau_sep_s = 5e-4",
+            "tau_sep_s",
+        ),
     ],
 )
 def test_invalid_value_is_config_error(tmp_path, capsys, command, old, new, key):

@@ -24,6 +24,7 @@ from quadsim import (
     run_protocol,
     write_trajectory_csv,
 )
+from quadsim import propagator
 
 from conftest import DELTA_M, OMEGA_M, TAU_PI
 
@@ -57,23 +58,61 @@ class TestExpmSmall:
         result = expm_small(-1j * (math.pi / 2) * x)
         assert np.max(np.abs(result - (-1j) * x)) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_extended_precision_series(self, seed):
+    # the 3x3 cases keep their original ids
+    @pytest.mark.parametrize(
+        "dim, seed",
+        [pytest.param(3, seed, id=str(seed)) for seed in range(5)]
+        + [pytest.param(2, seed, id=f"2x2-{seed}") for seed in range(5)],
+    )
+    def test_matches_extended_precision_series(self, dim, seed):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         a /= np.linalg.norm(a)
         expected = mpmath_expm(a)
         got = expm_small(a)
         assert np.linalg.norm(got - expected) < 1e-12 * np.linalg.norm(expected)
 
-    def test_scaling_path_large_norm(self):
+    @pytest.mark.parametrize("dim", [3, 2], ids=["3x3", "2x2"])
+    def test_scaling_path_large_norm(self, dim):
         rng = np.random.default_rng(42)
-        h = rng.normal(size=(3, 3))
+        h = rng.normal(size=(dim, dim))
         h = h + h.T
         a = -1j * h * (40.0 / np.linalg.norm(h))
         expected = mpmath_expm(a, terms=200)
         got = expm_small(a)
         assert np.linalg.norm(got - expected) < 1e-12 * np.linalg.norm(expected)
+
+    def test_non_hermitian_2x2(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        a *= 5.0 / np.linalg.norm(a)
+        expected = mpmath_expm(a, terms=120)
+        got = expm_small(a)
+        assert np.linalg.norm(got - expected) < 1e-12 * np.linalg.norm(expected)
+
+    def test_2x2_zero_s_is_exact(self):
+        # s = 0 in the closed form: a nilpotent matrix and a multiple of I
+        nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
+        assert np.array_equal(expm_small(nilpotent), [[1, 1], [0, 1]])
+        c = 0.7 - 1.3j
+        assert np.array_equal(expm_small(c * np.eye(2)), np.exp(c) * np.eye(2))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_wide_eigenvalue_spread_stays_finite(self, dim):
+        # e^-1500 underflows and cosh(750) overflows; exp(A) is still finite
+        diag = np.array([0.3 - 2j] + [-1500.0] * (dim - 1))
+        got = expm_small(np.diag(diag))
+        assert np.linalg.norm(got - np.diag(np.exp(diag))) < 1e-12 * abs(np.exp(diag[0]))
+
+    def test_block_boundary_is_bitwise_invisible(self):
+        rng = np.random.default_rng(3)
+        n = propagator._BLOCK + 3
+        batch = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+        batch *= 7.0 / np.linalg.norm(batch, axis=(-2, -1))[:, None, None]
+        together = expm_small(batch)
+        head = expm_small(batch[: propagator._BLOCK])
+        tail = expm_small(batch[propagator._BLOCK :])
+        assert np.array_equal(together, np.concatenate([head, tail]))
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(1)
@@ -303,6 +342,23 @@ class TestTrajectoryCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,re_1,im_1,re_2,im_2,re_3,im_3,norm_sq,pop_1,pop_2,pop_3"
         assert len(lines) == 52
+
+    def test_bytes_match_per_value_rendering(self, tmp_path):
+        # more rows than one formatting block
+        result = evolve(toy_lambda_request(steps=propagator._CSV_ROWS + 10, store_trajectory=True))
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(result, path)
+        times, states = result.trajectory
+        lines = []
+        for t, psi in zip(times, states):
+            pops = np.abs(psi) ** 2
+            vals = [t]
+            for amp in psi:
+                vals += [amp.real, amp.imag]
+            vals += [float(np.sum(pops))] + list(pops)
+            lines.append(",".join(format(x, ".15e") for x in vals) + "\n")
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert body == "".join(lines).encode()
 
     def test_requires_stored_trajectory(self, tmp_path):
         result = evolve(toy_lambda_request(steps=50))
