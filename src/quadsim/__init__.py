@@ -62,6 +62,7 @@ from .sweeps import (
     Axis,
     AxisWindow,
     ComparisonResult,
+    RunSpec,
     Scenario,
     SweepError,
     SweepResult,

@@ -12,9 +12,10 @@ from pathlib import Path
 
 from .analysis import transfer_metrics
 from .config import ConfigError, RunConfig, load_config, preset_names
-from .propagator import IntegrationError, resolve_steps, write_trajectory_csv
+from .propagator import IntegrationError, write_trajectory_csv
 from .sweeps import (
     Axis,
+    RunSpec,
     SweepError,
     TARGET_INDEX,
     compare_protocols,
@@ -35,43 +36,35 @@ def _out_stem(cfg_arg: str, out_dir: Path) -> Path:
     return out_dir / stem
 
 
-def _write_metrics_csv(path, cfg: RunConfig, protocol, duration, result, metrics) -> None:
+def _require_durations(run: RunSpec) -> None:
+    for protocol in run.protocols:
+        if protocol not in run.durations:
+            raise ConfigError(f"missing required key: T_{protocol.value}_s (or global T_s)")
+
+
+def _write_metrics_csv(path, run: RunSpec, protocol, result, metrics) -> None:
     dim = result.populations.shape[0]
     pop_cols = ",".join(f"pop_{i + 1}" for i in range(dim))
     pop_vals = ",".join(format(p, _FLOAT_FMT) for p in result.populations)
-    steps = resolve_steps(cfg.steps, dim)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"scenario,protocol,T_s,fidelity,error,final_norm_sq,{pop_cols},method,steps\n")
         fh.write(
-            f"{cfg.scenario.value},{protocol.value},{format(duration, _FLOAT_FMT)},"
+            f"{run.scenario.value},{protocol.value},{format(run.durations[protocol], _FLOAT_FMT)},"
             f"{format(metrics.fidelity, _FLOAT_FMT)},{format(metrics.error, _FLOAT_FMT)},"
             f"{format(metrics.final_norm_sq, _FLOAT_FMT)},{pop_vals},"
-            f"{cfg.method.value},{steps}\n"
+            f"{run.method.value},{run.resolved_steps}\n"
         )
 
 
 def cmd_simulate(cfg: RunConfig, cfg_arg: str, out_dir: Path, trajectory: bool) -> int:
-    if len(cfg.protocols) != 1:
+    if len(cfg.run.protocols) != 1:
         raise ConfigError("key protocol: simulate requires exactly one protocol")
-    protocol = cfg.protocols[0]
-    duration = cfg.durations.get(protocol)
-    if duration is None:
-        raise ConfigError(f"missing required key: T_{protocol.value}_s (or global T_s)")
-    result = run_protocol(
-        cfg.scenario,
-        cfg.params,
-        protocol,
-        duration,
-        delta_m=cfg.delta_m,
-        steps=cfg.steps,
-        method=cfg.method,
-        store_trajectory=trajectory,
-        tau_sep=cfg.tau_sep,
-        sigma=cfg.sigma,
-    )
+    _require_durations(cfg.run)
+    protocol = cfg.run.protocols[0]
+    result = run_protocol(cfg.run, protocol, store_trajectory=trajectory)
     metrics = transfer_metrics(result.final, TARGET_INDEX)
     stem = _out_stem(cfg_arg, out_dir)
-    _write_metrics_csv(f"{stem}.metrics.csv", cfg, protocol, duration, result, metrics)
+    _write_metrics_csv(f"{stem}.metrics.csv", cfg.run, protocol, result, metrics)
     if trajectory:
         write_trajectory_csv(result, f"{stem}.trajectory.csv")
     print(f"fidelity = {metrics.fidelity:.12e}")
@@ -95,10 +88,10 @@ def cmd_sweep(cfg: RunConfig, cfg_arg: str, out_dir: Path, plot: bool) -> int:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if plot:
-        axis = cfg.sweep.axis
+        axis = cfg.sweep.window.axis
         series = []
         xs = result.axis_values()
-        for protocol in cfg.sweep.protocols:
+        for protocol in cfg.run.protocols:
             ys = (
                 result.fidelities_for(protocol)
                 if axis is Axis.DURATION
@@ -126,21 +119,8 @@ def cmd_sweep(cfg: RunConfig, cfg_arg: str, out_dir: Path, plot: bool) -> int:
 
 
 def cmd_compare(cfg: RunConfig, cfg_arg: str, out_dir: Path) -> int:
-    for protocol in cfg.protocols:
-        if protocol not in cfg.durations:
-            raise ConfigError(f"missing required key: T_{protocol.value}_s (or global T_s)")
-    result = compare_protocols(
-        cfg.scenario,
-        cfg.params,
-        dict(cfg.durations),
-        cfg.compare,
-        delta_m=cfg.delta_m,
-        steps=cfg.steps,
-        method=cfg.method,
-        amplitude_mode=cfg.amplitude_mode,
-        tau_sep=cfg.tau_sep,
-        sigma=cfg.sigma,
-    )
+    _require_durations(cfg.run)
+    result = compare_protocols(cfg.run, cfg.compare)
     stem = _out_stem(cfg_arg, out_dir)
     write_comparison_worst_csv(result, f"{stem}.compare_worst.csv")
     write_comparison_dominance_csv(result, f"{stem}.compare_dominance.csv")

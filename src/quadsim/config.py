@@ -16,7 +16,7 @@ from pathlib import Path
 from .core_model import LambdaParams, TwoLevelParams, angular, reference_gap
 from .propagator import MIN_STEPS, Method
 from .schedules import SWEEP_KINDS, ScheduleKind
-from .sweeps import AmplitudeMode, Axis, AxisWindow, Scenario, SweepSpec
+from .sweeps import AmplitudeMode, Axis, AxisWindow, RunSpec, Scenario, SweepSpec
 
 
 class ConfigError(ValueError):
@@ -122,24 +122,14 @@ def _as_enum(section: dict, key: str, kind: type):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, unit-converted run description (angular rad/s internally).
+    """A validated, unit-converted config (angular rad/s internally): the run,
+    its optional [sweep], and the error windows of ``quadsim compare`` (the
+    amplitude window, then the detuning window)."""
 
-    compare holds the error windows of ``quadsim compare``: the amplitude
-    window, then the detuning window."""
-
-    scenario: Scenario
-    protocols: tuple[ScheduleKind, ...]
-    params: TwoLevelParams | LambdaParams
-    delta_m: float
-    durations: dict[ScheduleKind, float]
-    steps: int | None
-    method: Method
-    amplitude_mode: AmplitudeMode
-    tau_sep: float | None
-    sigma: float | None
+    run: RunSpec
     sweep: SweepSpec | None
-    out_dir: str | None
     compare: tuple[AxisWindow, ...]
+    out_dir: str | None
     raw: dict = field(repr=False, default_factory=dict)
 
 
@@ -196,6 +186,8 @@ def load_config_text(text: str) -> RunConfig:
     if needs_delta_m and "delta_m_hz" not in main:
         raise ConfigError("missing required key: delta_m_hz")
     delta_m = angular(_as_float(main, "delta_m_hz")) if "delta_m_hz" in main else 0.0
+    if needs_delta_m and delta_m <= 0:
+        raise ConfigError("key delta_m_hz: must be > 0 for a sweep protocol")
 
     axis = _as_enum(sweep_raw, "axis", Axis) if sweep_raw is not None else None
 
@@ -234,18 +226,11 @@ def load_config_text(text: str) -> RunConfig:
     sigma = _as_float(main, "sigma_s") if "sigma_s" in main else None
     if sigma is not None and sigma <= 0:
         raise ConfigError("key sigma_s: must be > 0")
-    # only the STIRAP pulse pair uses tau_sep, so only its duration bounds it
-    stirap_t = durations.get(ScheduleKind.STIRAP_GAUSSIAN, math.inf)
-    if tau_sep is not None and not 0 < tau_sep < stirap_t:
-        raise ConfigError("key tau_sep_s: must be > 0 and below the stirap duration")
-
-    # the run fields RunConfig shares with SweepSpec
-    run = dict(
-        scenario=scenario,
-        protocols=tuple(protocols),
+    run = RunSpec(
         params=params,
-        delta_m=delta_m,
+        protocols=tuple(protocols),
         durations=durations,
+        delta_m=delta_m,
         steps=steps,
         method=method,
         amplitude_mode=amplitude_mode,
@@ -262,9 +247,18 @@ def load_config_text(text: str) -> RunConfig:
         ):
             lo, hi = angular(lo), angular(hi)
         try:
-            sweep_spec = SweepSpec(**run, axis=axis, lo=lo, hi=hi, points=points)
+            sweep_spec = SweepSpec(run, AxisWindow(axis, lo, hi, points))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    # only the STIRAP pulse pair uses tau_sep, so only its durations bound
+    # it: the fixed one and, on a duration sweep, the shortest nonzero one
+    stirap_t = [durations.get(ScheduleKind.STIRAP_GAUSSIAN, math.inf)]
+    if axis is Axis.DURATION and ScheduleKind.STIRAP_GAUSSIAN in protocols:
+        grid = sweep_spec.window.grid()
+        stirap_t.append(grid[grid > 0][0])
+    if tau_sep is not None and not 0 < tau_sep < min(stirap_t):
+        raise ConfigError("key tau_sep_s: must be > 0 and below every stirap duration")
 
     compare_points = _as_int(main, "compare_points") if "compare_points" in main else 41
     if amplitude_mode is AmplitudeMode.ADDITIVE:
@@ -292,7 +286,7 @@ def load_config_text(text: str) -> RunConfig:
             raise ConfigError(f"keys {keys}: {exc}") from exc
 
     return RunConfig(
-        **run,
+        run=run,
         sweep=sweep_spec,
         out_dir=main.get("out_dir"),
         compare=compare,

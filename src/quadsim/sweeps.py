@@ -19,7 +19,7 @@ import enum
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,30 +66,24 @@ class SweepError(RuntimeError):
     """A sweep task failed; the message identifies the offending point."""
 
 
-def make_model(scenario: Scenario, params):
-    if scenario is Scenario.TWO_LEVEL:
-        if not isinstance(params, TwoLevelParams):
-            raise TypeError("two-level scenario requires TwoLevelParams")
-        return TwoLevelModel(params)
-    if not isinstance(params, LambdaParams):
-        raise TypeError("three-level scenario requires LambdaParams")
-    return LambdaModel(params)
+def make_model(params: TwoLevelParams | LambdaParams) -> TwoLevelModel | LambdaModel:
+    """The model the params describe: two-level or Lambda."""
+    return TwoLevelModel(params) if isinstance(params, TwoLevelParams) else LambdaModel(params)
 
 
 def make_schedule(
-    scenario: Scenario,
-    params,
+    params: TwoLevelParams | LambdaParams,
     protocol: ScheduleKind,
     duration: float,
     delta_m: float = 0.0,
     tau_sep: float | None = None,
     sigma: float | None = None,
 ) -> PulseSchedule:
-    """Build a protocol's schedule for the given scenario.
+    """Build a protocol's schedule for the system the params describe.
 
     Sweep schedules reference the system's minimum gap, :func:`reference_gap`.
     """
-    if scenario is Scenario.TWO_LEVEL:
+    if isinstance(params, TwoLevelParams):
         if protocol is ScheduleKind.STIRAP_GAUSSIAN:
             raise ValueError("STIRAP requires the three-level scenario")
         drive, drive_s = params.omega_m, None
@@ -108,30 +102,56 @@ def make_schedule(
     )
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One run description, shared by simulate, sweep and compare.
+
+    durations maps each protocol to its fixed operation time (a DURATION
+    sweep takes it from the axis instead).  delta_m and additive amplitude
+    offsets are angular (rad/s); tau_sep and sigma apply to STIRAP only.
+    """
+
+    params: TwoLevelParams | LambdaParams
+    protocols: tuple[ScheduleKind, ...] = ()
+    durations: Mapping[ScheduleKind, float] = field(default_factory=dict)
+    delta_m: float = 0.0
+    steps: int | None = None
+    method: Method = Method.PIECEWISE_EXPM
+    amplitude_mode: AmplitudeMode = AmplitudeMode.MULTIPLICATIVE
+    tau_sep: float | None = None
+    sigma: float | None = None
+
+    @property
+    def scenario(self) -> Scenario:
+        two_level = isinstance(self.params, TwoLevelParams)
+        return Scenario.TWO_LEVEL if two_level else Scenario.THREE_LEVEL
+
+    @property
+    def resolved_steps(self) -> int:
+        return resolve_steps(self.steps, make_model(self.params).dim)
+
+
 def run_protocol(
-    scenario: Scenario,
-    params,
+    run: RunSpec,
     protocol: ScheduleKind,
-    duration: float,
-    delta_m: float = 0.0,
-    steps: int | None = None,
-    method: Method = Method.PIECEWISE_EXPM,
+    duration: float | None = None,
     amplitude_scale: float = 1.0,
     amplitude_offset: float = 0.0,
     detuning_offset: float = 0.0,
     store_trajectory: bool = False,
-    tau_sep: float | None = None,
-    sigma: float | None = None,
 ) -> EvolveResult:
-    """Evolve |1> under one protocol and return the result."""
-    model = make_model(scenario, params)
-    schedule = make_schedule(scenario, params, protocol, duration, delta_m, tau_sep, sigma)
+    """Evolve |1> under one protocol for `duration` (by default the run's
+    duration for it) and return the result."""
+    if duration is None:
+        duration = run.durations[protocol]
+    model = make_model(run.params)
+    schedule = make_schedule(run.params, protocol, duration, run.delta_m, run.tau_sep, run.sigma)
     req = EvolveRequest(
         model=model,
         schedule=schedule,
         initial=QuantumState.basis(model.dim, 0),
-        steps=steps,
-        method=method,
+        steps=run.steps,
+        method=run.method,
         store_trajectory=store_trajectory,
         amplitude_scale=amplitude_scale,
         amplitude_offset=amplitude_offset,
@@ -150,12 +170,14 @@ class AxisWindow:
     points: int = 41
 
     def check(self, amplitude_mode: AmplitudeMode) -> None:
-        """Raise ValueError unless lo < hi, points >= 2 and, for a
-        multiplicative amplitude axis, the window lies in (0, 2]."""
+        """Raise ValueError unless lo < hi, points >= 2, a duration window
+        starts at lo >= 0 and a multiplicative amplitude window lies in (0, 2]."""
         if not self.lo < self.hi:
             raise ValueError("sweep range requires lo < hi")
         if self.points < 2:
             raise ValueError("points must be >= 2")
+        if self.axis is Axis.DURATION and self.lo < 0:
+            raise ValueError("duration range requires lo >= 0")
         if self.axis is Axis.AMPLITUDE_SCALE and amplitude_mode is AmplitudeMode.MULTIPLICATIVE:
             if self.lo <= 0 or self.hi > 2:
                 raise ValueError("multiplicative amplitude range must lie in (0, 2]")
@@ -169,43 +191,27 @@ class AxisWindow:
             return 1.0
         return 0.0
 
+    def grid(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.points)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: protocols x axis grid over a shared parameter set.
+    """One sweep: the run's protocols x the window's axis grid.  Detuning
+    offsets and additive amplitude offsets are angular (rad/s)."""
 
-    durations maps each protocol to its fixed operation time (ignored for the
-    DURATION axis, where the axis value is the operation time).  Detuning
-    offsets and additive amplitude offsets are angular (rad/s).
-    """
-
-    scenario: Scenario
-    protocols: tuple[ScheduleKind, ...]
-    axis: Axis
-    lo: float
-    hi: float
-    points: int
-    params: TwoLevelParams | LambdaParams
-    delta_m: float = 0.0
-    durations: Mapping[ScheduleKind, float] = field(default_factory=dict)
-    steps: int | None = None
-    method: Method = Method.PIECEWISE_EXPM
-    amplitude_mode: AmplitudeMode = AmplitudeMode.MULTIPLICATIVE
-    tau_sep: float | None = None
-    sigma: float | None = None
+    run: RunSpec
+    window: AxisWindow
 
     def __post_init__(self) -> None:
-        if not self.protocols:
+        if not self.run.protocols:
             raise ValueError("at least one protocol required")
-        AxisWindow(self.axis, self.lo, self.hi, self.points).check(self.amplitude_mode)
-        if self.axis is not Axis.DURATION:
-            for protocol in self.protocols:
-                duration = self.durations.get(protocol)
+        self.window.check(self.run.amplitude_mode)
+        if self.window.axis is not Axis.DURATION:
+            for protocol in self.run.protocols:
+                duration = self.run.durations.get(protocol)
                 if duration is None or duration <= 0:
                     raise ValueError(f"protocol {protocol.value} requires a positive duration")
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.points)
 
 
 @dataclass(frozen=True)
@@ -238,66 +244,42 @@ class SweepResult:
         return np.array([r.axis_value for r in self.rows if r.protocol == first])
 
 
-def _resolved_steps(spec: SweepSpec) -> int:
-    model = TwoLevelModel if spec.scenario is Scenario.TWO_LEVEL else LambdaModel
-    return resolve_steps(spec.steps, model.dim)
-
-
 def _sweep_task(args) -> SweepRow:
     spec, protocol, value = args
-    steps = _resolved_steps(spec)
-    if spec.axis is Axis.DURATION:
-        duration = float(value)
-        scale, aoff, doff = 1.0, 0.0, 0.0
-    else:
-        duration = float(spec.durations[protocol])
-        amplitude = spec.axis is Axis.AMPLITUDE_SCALE
-        multiplicative = spec.amplitude_mode is AmplitudeMode.MULTIPLICATIVE
-        scale = float(value) if amplitude and multiplicative else 1.0
-        aoff = float(value) if amplitude and not multiplicative else 0.0
-        doff = float(value) if spec.axis is Axis.DETUNING_OFFSET else 0.0
-
+    run, axis = spec.run, spec.window.axis
     point = dict(
         protocol=protocol.value,
-        scenario=spec.scenario.value,
-        axis=spec.axis.value,
+        scenario=run.scenario.value,
+        axis=axis.value,
         axis_value=float(value),
-        method=spec.method.value,
+        method=run.method.value,
     )
-    if duration <= 0.0:
+    if axis is Axis.DURATION and value <= 0.0:
         # zero-duration point on a DURATION scan: the exact limit is the
         # identity map, so the state stays |1> and no transfer occurs
         return SweepRow(
             **point, duration=0.0, fidelity=0.0, error=1.0, final_norm_sq=1.0, steps=0
         )
-
+    multiplicative = run.amplitude_mode is AmplitudeMode.MULTIPLICATIVE
+    control = {
+        Axis.DURATION: "duration",
+        Axis.AMPLITUDE_SCALE: "amplitude_scale" if multiplicative else "amplitude_offset",
+        Axis.DETUNING_OFFSET: "detuning_offset",
+    }[axis]
     try:
-        result = run_protocol(
-            spec.scenario,
-            spec.params,
-            protocol,
-            duration,
-            delta_m=spec.delta_m,
-            steps=steps,
-            method=spec.method,
-            amplitude_scale=scale,
-            amplitude_offset=aoff,
-            detuning_offset=doff,
-            tau_sep=spec.tau_sep,
-            sigma=spec.sigma,
-        )
-    except (IntegrationError, ValueError, TypeError) as exc:
+        result = run_protocol(run, protocol, **{control: float(value)})
+    except (IntegrationError, ValueError) as exc:
         raise SweepError(
-            f"sweep failed at protocol={protocol.value} {spec.axis.value}={value}: {exc}"
+            f"sweep failed at protocol={protocol.value} {axis.value}={value}: {exc}"
         ) from exc
     metrics = transfer_metrics(result.final, TARGET_INDEX)
     return SweepRow(
         **point,
-        duration=duration,
+        duration=float(value) if axis is Axis.DURATION else float(run.durations[protocol]),
         fidelity=metrics.fidelity,
         error=metrics.error,
         final_norm_sq=metrics.final_norm_sq,
-        steps=steps,
+        steps=run.resolved_steps,
     )
 
 
@@ -316,8 +298,8 @@ def worker_count() -> int:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the full protocols x axis grid; rows are ordered protocol-major."""
-    grid = spec.grid()
-    tasks = [(spec, protocol, value) for protocol in spec.protocols for value in grid]
+    grid = spec.window.grid()
+    tasks = [(spec, protocol, value) for protocol in spec.run.protocols for value in grid]
     started = time.monotonic()
     workers = min(worker_count(), os.cpu_count() or 1, len(tasks))
     if workers > 1:
@@ -332,19 +314,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def spec_metadata(spec: SweepSpec) -> dict:
+    run = spec.run
     return {
-        "scenario": spec.scenario.value,
-        "protocols": [p.value for p in spec.protocols],
-        "axis": spec.axis.value,
-        "lo": spec.lo,
-        "hi": spec.hi,
-        "points": spec.points,
-        "params": asdict(spec.params),
-        "delta_m": spec.delta_m,
-        "durations": {p.value: t for p, t in spec.durations.items()},
-        "steps": _resolved_steps(spec),
-        "method": spec.method.value,
-        "amplitude_mode": spec.amplitude_mode.value,
+        **asdict(spec.window),
+        "axis": spec.window.axis.value,
+        "scenario": run.scenario.value,
+        "protocols": [p.value for p in run.protocols],
+        "params": asdict(run.params),
+        "delta_m": run.delta_m,
+        "durations": {p.value: t for p, t in run.durations.items()},
+        "steps": run.resolved_steps,
+        "method": run.method.value,
+        "amplitude_mode": run.amplitude_mode.value,
     }
 
 
@@ -414,44 +395,18 @@ class ComparisonResult:
 DOMINANCE_THRESHOLD = 0.9
 
 
-def compare_protocols(
-    scenario: Scenario,
-    params,
-    protocol_durations: Mapping[ScheduleKind, float],
-    error_axes: Sequence[AxisWindow],
-    delta_m: float = 0.0,
-    steps: int | None = None,
-    method: Method = Method.PIECEWISE_EXPM,
-    amplitude_mode: AmplitudeMode = AmplitudeMode.MULTIPLICATIVE,
-    tau_sep: float | None = None,
-    sigma: float | None = None,
-) -> ComparisonResult:
-    """Cross protocols with error axes; summarize worst-case errors and
-    pairwise dominance.
+def compare_protocols(run: RunSpec, windows: Sequence[AxisWindow]) -> ComparisonResult:
+    """Cross the run's protocols, in the order of run.durations, with error
+    windows; summarize worst-case errors and pairwise dominance.
 
     A protocol's on-axis fidelity is taken from the first window row whose
     axis value is exactly that window's nominal value; the protocol is run
     once more, unperturbed, only when no window samples it."""
-    protocols = tuple(protocol_durations.keys())
+    protocols = tuple(run.durations)
+    run = replace(run, protocols=protocols)
+    runs = [(window, run_sweep(SweepSpec(run, window))) for window in windows]
     summaries: list[ProtocolSummary] = []
     dominance: list[DominanceRow] = []
-
-    runs: list[tuple[AxisWindow, SweepResult]] = []
-    for window in error_axes:
-        spec = SweepSpec(
-            **asdict(window),
-            scenario=scenario,
-            protocols=protocols,
-            params=params,
-            delta_m=delta_m,
-            durations=dict(protocol_durations),
-            steps=steps,
-            method=method,
-            amplitude_mode=amplitude_mode,
-            tau_sep=tau_sep,
-            sigma=sigma,
-        )
-        runs.append((window, run_sweep(spec)))
 
     on_axis: dict[ScheduleKind, float] = {}
     for protocol in protocols:
@@ -460,23 +415,11 @@ def compare_protocols(
             for window, result in runs
             for row in result.rows
             if row.protocol == protocol.value
-            and row.axis_value == window.nominal(amplitude_mode)
+            and row.axis_value == window.nominal(run.amplitude_mode)
         ]
-        if sampled:
-            on_axis[protocol] = sampled[0]
-            continue
-        nominal_run = run_protocol(
-            scenario,
-            params,
-            protocol,
-            protocol_durations[protocol],
-            delta_m=delta_m,
-            steps=steps,
-            method=method,
-            tau_sep=tau_sep,
-            sigma=sigma,
-        )
-        on_axis[protocol] = transfer_metrics(nominal_run.final, TARGET_INDEX).fidelity
+        if not sampled:
+            sampled = [transfer_metrics(run_protocol(run, protocol).final, TARGET_INDEX).fidelity]
+        on_axis[protocol] = sampled[0]
 
     for window, result in runs:
         errors = {p: result.errors_for(p) for p in protocols}
@@ -485,7 +428,7 @@ def compare_protocols(
                 ProtocolSummary(
                     axis=window.axis.value,
                     protocol=protocol.value,
-                    duration=protocol_durations[protocol],
+                    duration=run.durations[protocol],
                     on_axis_fidelity=on_axis[protocol],
                     on_axis_error=1.0 - on_axis[protocol],
                     worst_error=float(np.max(errors[protocol])),

@@ -28,13 +28,14 @@ from scipy.integrate import solve_ivp
 
 from quadsim import (
     Axis,
+    AxisWindow,
     EvolveRequest,
     LambdaParams,
     Method,
     PulseSchedule,
     QuantumState,
     ReducedTwoLevelModel,
-    Scenario,
+    RunSpec,
     ScheduleKind,
     SweepSpec,
     adiabatic_elimination,
@@ -74,20 +75,24 @@ def three_level_runs(lambda_params, lambda_params_no_decay):
     """Shared heavy three-level propagations (criteria 6 and 7)."""
     runs = {}
     runs["si_gamma_on"] = run_protocol(
-        Scenario.THREE_LEVEL, lambda_params, ScheduleKind.SIQUAD, T3_SHORT,
-        delta_m=DELTA_M, steps=500_000,
+        RunSpec(lambda_params, delta_m=DELTA_M, steps=500_000),
+        ScheduleKind.SIQUAD,
+        T3_SHORT,
     )
     runs["stirap_gamma_on"] = run_protocol(
-        Scenario.THREE_LEVEL, lambda_params, ScheduleKind.STIRAP_GAUSSIAN, T3_SHORT,
-        steps=500_000,
+        RunSpec(lambda_params, steps=500_000),
+        ScheduleKind.STIRAP_GAUSSIAN,
+        T3_SHORT,
     )
     runs["si_gamma_off"] = run_protocol(
-        Scenario.THREE_LEVEL, lambda_params_no_decay, ScheduleKind.SIQUAD, T3_SHORT,
-        delta_m=DELTA_M, steps=500_000,
+        RunSpec(lambda_params_no_decay, delta_m=DELTA_M, steps=500_000),
+        ScheduleKind.SIQUAD,
+        T3_SHORT,
     )
     runs["si_gamma_off_long"] = run_protocol(
-        Scenario.THREE_LEVEL, lambda_params_no_decay, ScheduleKind.SIQUAD, T3_LONG,
-        delta_m=DELTA_M, steps=1_000_000,
+        RunSpec(lambda_params_no_decay, delta_m=DELTA_M, steps=1_000_000),
+        ScheduleKind.SIQUAD,
+        T3_LONG,
     )
     return runs
 
@@ -149,9 +154,7 @@ def test_criterion_2_constant_s_law():
 def test_criterion_3_pi_pulse_exactness(two_level_params):
     started = time.monotonic()
     tau = pi_time(OMEGA_M)
-    result = run_protocol(
-        Scenario.TWO_LEVEL, two_level_params, ScheduleKind.FLAT_PI, tau, steps=10_000
-    )
+    result = run_protocol(RunSpec(two_level_params, steps=10_000), ScheduleKind.FLAT_PI, tau)
     err = transfer_metrics(result.final, 1).error
     ok = abs(tau - 3.333e-6) < 1e-3 * tau and err < 1e-8
     report("3", ok, f"tau_pi = {tau * 1e6:.4f} us, transfer error {err:.2e} (<1e-8)", started)
@@ -180,11 +183,10 @@ def test_criterion_4_propagator_properties(two_level_params):
 
     # norm conservation without decay
     drifts = []
-    for scenario, params, protocol, duration, delta_m, steps in [
-        (Scenario.TWO_LEVEL, two_level_params, ScheduleKind.SIQUAD, T_SI, DELTA_M, 10_000),
-        (Scenario.TWO_LEVEL, two_level_params, ScheduleKind.SIQUAD, T_SI, DELTA_M, 100_000),
+    for params, protocol, duration, delta_m, steps in [
+        (two_level_params, ScheduleKind.SIQUAD, T_SI, DELTA_M, 10_000),
+        (two_level_params, ScheduleKind.SIQUAD, T_SI, DELTA_M, 100_000),
         (
-            Scenario.THREE_LEVEL,
             LambdaParams(omega_p0=OMEGA0, omega_s0=OMEGA0, delta_one_photon=DELTA_BIG),
             ScheduleKind.SIQUAD,
             T3_SHORT,
@@ -192,9 +194,7 @@ def test_criterion_4_propagator_properties(two_level_params):
             200_000,
         ),
     ]:
-        result = run_protocol(
-            scenario, params, protocol, duration, delta_m=delta_m, steps=steps
-        )
+        result = run_protocol(RunSpec(params, delta_m=delta_m, steps=steps), protocol, duration)
         drifts.append(abs(result.final_norm_sq - 1.0))
     norm_ok = all(d < 1e-9 for d in drifts)
     details.append(f"max |norm^2-1| = {max(drifts):.2e} (<1e-9)")
@@ -207,7 +207,9 @@ def test_criterion_4_propagator_properties(two_level_params):
         gamma=2 * math.pi * 0.3e6,
     )
     result = run_protocol(
-        Scenario.THREE_LEVEL, toy, ScheduleKind.FLAT_PI, 2e-6, steps=20_000,
+        RunSpec(toy, steps=20_000),
+        ScheduleKind.FLAT_PI,
+        2e-6,
         store_trajectory=True,
     )
     norms = np.sum(np.abs(result.trajectory[1]) ** 2, axis=1)
@@ -215,10 +217,8 @@ def test_criterion_4_propagator_properties(two_level_params):
     details.append(f"decay monotone: {mono_ok}")
 
     # observed convergence orders on the SIQUAD two-level scenario
-    model = make_model(Scenario.TWO_LEVEL, two_level_params)
-    schedule = make_schedule(
-        Scenario.TWO_LEVEL, two_level_params, ScheduleKind.SIQUAD, T_SI, delta_m=DELTA_M
-    )
+    model = make_model(two_level_params)
+    schedule = make_schedule(two_level_params, ScheduleKind.SIQUAD, T_SI, delta_m=DELTA_M)
     base = EvolveRequest(
         model=model, schedule=schedule, initial=QuantumState.basis(2, 0), steps=4000
     )
@@ -250,22 +250,18 @@ def test_criterion_4_propagator_properties(two_level_params):
 
 
 def _two_level_sweep(two_level_params, axis, lo, hi, points, steps=100_000) -> SweepSpec:
-    return SweepSpec(
-        scenario=Scenario.TWO_LEVEL,
-        protocols=(ScheduleKind.SIQUAD, ScheduleKind.FAQUAD, ScheduleKind.FLAT_PI),
-        axis=axis,
-        lo=lo,
-        hi=hi,
-        points=points,
+    run = RunSpec(
         params=two_level_params,
-        delta_m=DELTA_M,
+        protocols=(ScheduleKind.SIQUAD, ScheduleKind.FAQUAD, ScheduleKind.FLAT_PI),
         durations={
             ScheduleKind.SIQUAD: T_SI,
             ScheduleKind.FAQUAD: T_FA,
             ScheduleKind.FLAT_PI: T_PI,
         },
+        delta_m=DELTA_M,
         steps=steps,
     )
+    return SweepSpec(run, AxisWindow(axis, lo, hi, points))
 
 
 def test_criterion_5a_flat_pulse_fidelity_oscillates(two_level_params):
@@ -307,8 +303,9 @@ def test_criterion_5a_flat_pulse_fidelity_oscillates(two_level_params):
 def test_criterion_5b_siquad_error_at_quoted_duration(two_level_params):
     started = time.monotonic()
     result = run_protocol(
-        Scenario.TWO_LEVEL, two_level_params, ScheduleKind.SIQUAD, T_SI,
-        delta_m=DELTA_M, steps=100_000,
+        RunSpec(two_level_params, delta_m=DELTA_M, steps=100_000),
+        ScheduleKind.SIQUAD,
+        T_SI,
     )
     err = transfer_metrics(result.final, 1).error
     ok = err < 1e-3

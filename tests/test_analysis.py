@@ -10,7 +10,7 @@ from quadsim import (
     PulseSchedule,
     QuantumState,
     ReducedTwoLevelModel,
-    Scenario,
+    RunSpec,
     ScheduleKind,
     adiabatic_elimination,
     angular,
@@ -149,11 +149,9 @@ class TestBookkeeping:
     def test_population_budget_closes(self, lambda_params):
         # fidelity + leaked population + lost norm = initial norm
         result = run_protocol(
-            Scenario.THREE_LEVEL,
-            lambda_params,
+            RunSpec(lambda_params, steps=20_000),
             ScheduleKind.STIRAP_GAUSSIAN,
             2e-4,
-            steps=20_000,
         )
         metrics = transfer_metrics(result.final, 1)
         leaked = float(np.sum(result.populations)) - metrics.fidelity
@@ -162,12 +160,9 @@ class TestBookkeeping:
 
     def test_population_budget_without_decay(self, two_level_params):
         result = run_protocol(
-            Scenario.TWO_LEVEL,
-            two_level_params,
+            RunSpec(two_level_params, delta_m=angular(10e6), steps=20_000),
             ScheduleKind.SIQUAD,
             5.83 * TAU_PI,
-            delta_m=angular(10e6),
-            steps=20_000,
         )
         metrics = transfer_metrics(result.final, 1)
         leaked = float(np.sum(result.populations)) - metrics.fidelity

@@ -46,12 +46,12 @@ class TestParser:
 class TestLoadConfig:
     def test_minimal_two_level(self):
         cfg = load_config_text(TWO_LEVEL_BASE)
-        assert cfg.protocols == (ScheduleKind.SIQUAD,)
-        assert cfg.params.omega_m == angular(150e3)
-        assert cfg.delta_m == angular(10e6)
-        assert cfg.durations[ScheduleKind.SIQUAD] == pytest.approx(5.83 * TAU_PI)
-        assert cfg.steps == 4000
-        assert cfg.method is Method.PIECEWISE_EXPM
+        assert cfg.run.protocols == (ScheduleKind.SIQUAD,)
+        assert cfg.run.params.omega_m == angular(150e3)
+        assert cfg.run.delta_m == angular(10e6)
+        assert cfg.run.durations[ScheduleKind.SIQUAD] == pytest.approx(5.83 * TAU_PI)
+        assert cfg.run.steps == 4000
+        assert cfg.run.method is Method.PIECEWISE_EXPM
 
     def test_missing_delta_m_named_in_error(self):
         text = TWO_LEVEL_BASE.replace("delta_m_hz = 10e6\n", "")
@@ -72,7 +72,7 @@ class TestLoadConfig:
             "delta_m_hz = 10e6\n", ""
         )
         cfg = load_config_text(text)
-        assert cfg.protocols == (ScheduleKind.FLAT_PI,)
+        assert cfg.run.protocols == (ScheduleKind.FLAT_PI,)
 
     def test_conflicting_duration_keys(self):
         with pytest.raises(ConfigError, match="conflicting duration keys"):
@@ -101,9 +101,9 @@ T_s = 2.85e-3
     def test_detuning_axis_converted_to_angular(self):
         text = TWO_LEVEL_BASE + "\n[sweep]\naxis = detuning_offset\nlo = -150e3\nhi = 150e3\npoints = 5\n"
         cfg = load_config_text(text)
-        assert cfg.sweep.axis is Axis.DETUNING_OFFSET
-        assert cfg.sweep.lo == pytest.approx(-angular(150e3))
-        assert cfg.sweep.hi == pytest.approx(angular(150e3))
+        assert cfg.sweep.window.axis is Axis.DETUNING_OFFSET
+        assert cfg.sweep.window.lo == pytest.approx(-angular(150e3))
+        assert cfg.sweep.window.hi == pytest.approx(angular(150e3))
 
     def test_additive_compare_window_read_in_hz(self):
         text = TWO_LEVEL_BASE + "amplitude_mode = additive\n"
@@ -117,7 +117,27 @@ T_s = 2.85e-3
         text = TWO_LEVEL_BASE.replace("T_s = 1.9433333333333333e-05\n", "")
         text += "\n[sweep]\naxis = duration\nlo = 0\nhi = 3.3e-5\npoints = 5\n"
         cfg = load_config_text(text)
-        assert cfg.sweep.axis is Axis.DURATION
+        assert cfg.sweep.window.axis is Axis.DURATION
+
+    def test_duration_axis_from_zero_bounds_tau_sep_by_first_positive_point(self):
+        text = """
+scenario = three_level
+protocol = stirap
+omega0_hz = 5e6
+delta_big_hz = 10e9
+tau_sep_s = 1e-4
+
+[sweep]
+axis = duration
+lo = 0
+hi = 1e-3
+points = 3
+"""
+        cfg = load_config_text(text)
+        assert cfg.run.tau_sep == 1e-4
+        assert cfg.sweep.window.lo == 0.0
+        with pytest.raises(ConfigError, match="tau_sep_s"):
+            load_config_text(text.replace("tau_sep_s = 1e-4", "tau_sep_s = 5e-4"))
 
     def test_bad_number_names_key(self):
         with pytest.raises(ConfigError, match="omega_m_hz"):
@@ -429,6 +449,18 @@ def test_preset_resolution_through_cli(tmp_path, capsys, monkeypatch):
             "scenario = three_level\nprotocol = stirap\nomega0_hz = 5e6\ndelta_big_hz = 10e9\ntau_sep_s = 5e-4",
             "tau_sep_s",
         ),
+        (
+            "sweep",
+            "scenario = two_level\nprotocol = siquad\nomega_m_hz = 150e3\ndelta_m_hz = 10e6\n"
+            "T_s = 1.9433333333333333e-05\nsteps = 4000\n\n[sweep]\naxis = amplitude_scale\nlo = 0.9",
+            "scenario = three_level\nprotocol = stirap\nomega0_hz = 5e6\ndelta_big_hz = 10e9\n"
+            "tau_sep_s = 5e-4\nsteps = 4000\n\n[sweep]\naxis = duration\nlo = 1e-4",
+            "tau_sep_s",
+        ),
+        ("simulate", "delta_m_hz = 10e6", "delta_m_hz = 0", "delta_m_hz"),
+        ("sweep", "delta_m_hz = 10e6", "delta_m_hz = -1e6", "delta_m_hz"),
+        ("compare", "delta_m_hz = 10e6", "delta_m_hz = 0", "delta_m_hz"),
+        ("sweep", "axis = amplitude_scale\nlo = 0.9", "axis = duration\nlo = -1e-5", "lo"),
     ],
 )
 def test_invalid_value_is_config_error(tmp_path, capsys, command, old, new, key):

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from quadsim import (
     LambdaParams,
     QuantumState,
-    Scenario,
+    RunSpec,
     ScheduleKind,
     TwoLevelParams,
     angular,
@@ -113,20 +113,13 @@ class TestTwoLevelHamiltonian:
                 return h
 
         schedule = make_schedule(
-            Scenario.TWO_LEVEL,
-            two_level_params,
-            ScheduleKind.SIQUAD,
-            3 * TAU_PI,
-            delta_m=angular(2e6),
+            two_level_params, ScheduleKind.SIQUAD, 3 * TAU_PI, delta_m=angular(2e6)
         )
         initial = QuantumState.basis(2, 0)
         canonical = run_protocol(
-            Scenario.TWO_LEVEL,
-            two_level_params,
+            RunSpec(two_level_params, delta_m=angular(2e6), steps=20000),
             ScheduleKind.SIQUAD,
             3 * TAU_PI,
-            delta_m=angular(2e6),
-            steps=20000,
         )
         symmetric = evolve(
             EvolveRequest(
@@ -171,9 +164,7 @@ class TestLambdaHamiltonian:
             delta_one_photon=angular(1e9),
             omega_m=OMEGA_M,
         )
-        result = run_protocol(
-            Scenario.THREE_LEVEL, params, ScheduleKind.FLAT_PI, TAU_PI, steps=5000
-        )
+        result = run_protocol(RunSpec(params, steps=5000), ScheduleKind.FLAT_PI, TAU_PI)
         assert result.populations[2] <= 1e-12
         assert result.populations[1] == pytest.approx(1.0, abs=1e-8)
 

@@ -14,7 +14,7 @@ from quadsim import (
     Method,
     PulseSchedule,
     QuantumState,
-    Scenario,
+    RunSpec,
     ScheduleKind,
     convergence_probe,
     evolve,
@@ -141,8 +141,8 @@ def two_level_request(
     from quadsim import TwoLevelParams
 
     params = TwoLevelParams(omega_m=OMEGA_M)
-    model = make_model(Scenario.TWO_LEVEL, params)
-    schedule = make_schedule(Scenario.TWO_LEVEL, params, protocol, duration, delta_m=delta_m)
+    model = make_model(params)
+    schedule = make_schedule(params, protocol, duration, delta_m=delta_m)
     return EvolveRequest(
         model=model,
         schedule=schedule,
@@ -211,8 +211,8 @@ def toy_lambda_request(gamma=2 * math.pi * 0.3e6, steps=20000, **kwargs):
         delta_one_photon=2 * math.pi * 3e6,
         gamma=gamma,
     )
-    model = make_model(Scenario.THREE_LEVEL, params)
-    schedule = make_schedule(Scenario.THREE_LEVEL, params, ScheduleKind.FLAT_PI, 2e-6)
+    model = make_model(params)
+    schedule = make_schedule(params, ScheduleKind.FLAT_PI, 2e-6)
     return EvolveRequest(
         model=model,
         schedule=schedule,
@@ -226,9 +226,9 @@ class TestEvolveWithDecay:
     def test_bare_excited_state_decays_exponentially(self):
         gamma = 2 * math.pi * 5.6e6
         params = decay_params(gamma)
-        model = make_model(Scenario.THREE_LEVEL, params)
+        model = make_model(params)
         duration = 3.0 / (2 * gamma)
-        schedule = make_schedule(Scenario.THREE_LEVEL, params, ScheduleKind.FLAT_PI, duration)
+        schedule = make_schedule(params, ScheduleKind.FLAT_PI, duration)
         result = evolve(
             EvolveRequest(
                 model=model,
@@ -292,10 +292,8 @@ class TestEvolveWithDecay:
             omega_s0=2 * math.pi * 5e6,
             delta_one_photon=2 * math.pi * 10e9,
         )
-        model = make_model(Scenario.THREE_LEVEL, params)
-        schedule = make_schedule(
-            Scenario.THREE_LEVEL, params, ScheduleKind.SIQUAD, 2.85e-3, delta_m=DELTA_M
-        )
+        model = make_model(params)
+        schedule = make_schedule(params, ScheduleKind.SIQUAD, 2.85e-3, delta_m=DELTA_M)
         with pytest.raises(IntegrationError):
             evolve(
                 EvolveRequest(
@@ -367,11 +365,5 @@ class TestTrajectoryCsv:
 
 
 def test_run_protocol_convenience(two_level_params):
-    result = run_protocol(
-        Scenario.TWO_LEVEL,
-        two_level_params,
-        ScheduleKind.FLAT_PI,
-        TAU_PI,
-        steps=1000,
-    )
+    result = run_protocol(RunSpec(two_level_params, steps=1000), ScheduleKind.FLAT_PI, TAU_PI)
     assert result.populations[1] == pytest.approx(1.0, abs=1e-10)

@@ -10,7 +10,7 @@ from quadsim import (
     AmplitudeMode,
     Axis,
     AxisWindow,
-    Scenario,
+    RunSpec,
     ScheduleKind,
     SweepError,
     SweepSpec,
@@ -30,7 +30,6 @@ T_FA = 6.33 * TAU_PI
 
 def two_level_spec(two_level_params, **overrides) -> SweepSpec:
     defaults = dict(
-        scenario=Scenario.TWO_LEVEL,
         protocols=(ScheduleKind.SIQUAD, ScheduleKind.FLAT_PI),
         axis=Axis.AMPLITUDE_SCALE,
         lo=0.9,
@@ -42,7 +41,8 @@ def two_level_spec(two_level_params, **overrides) -> SweepSpec:
         steps=5000,
     )
     defaults.update(overrides)
-    return SweepSpec(**defaults)
+    window = AxisWindow(*(defaults.pop(key) for key in ("axis", "lo", "hi", "points")))
+    return SweepSpec(RunSpec(**defaults), window)
 
 
 class TestSpecValidation:
@@ -92,12 +92,9 @@ class TestRunSweep:
         center = [r for r in result.rows if r.protocol == "siquad"][1]
         assert center.axis_value == 1.0
         direct = run_protocol(
-            Scenario.TWO_LEVEL,
-            two_level_params,
+            RunSpec(two_level_params, delta_m=DELTA_M, steps=5000),
             ScheduleKind.SIQUAD,
             T_SI,
-            delta_m=DELTA_M,
-            steps=5000,
         )
         assert center.fidelity == transfer_metrics(direct.final, 1).fidelity
 
@@ -160,11 +157,9 @@ class TestRunSweep:
         ).rows
         for row in additive:
             scaled = run_protocol(
-                Scenario.TWO_LEVEL,
-                two_level_params,
+                RunSpec(two_level_params, steps=5000),
                 ScheduleKind.FLAT_PI,
                 TAU_PI,
-                steps=5000,
                 amplitude_scale=1.0 + row.axis_value / OMEGA_M,
             )
             assert row.fidelity == pytest.approx(
@@ -244,11 +239,7 @@ class TestRunSweep:
         assert meta["steps"] == 5000
 
     def test_failure_identifies_axis_point(self, two_level_params):
-        class BadParams:
-            pass
-
-        spec = two_level_spec(two_level_params)
-        object.__setattr__(spec, "params", BadParams())
+        spec = two_level_spec(two_level_params, delta_m=0.0)
         with pytest.raises(SweepError, match="amplitude_scale=0.9"):
             run_sweep(spec)
 
@@ -276,17 +267,12 @@ class TestCompareProtocols:
     def test_single_protocol_degenerates_to_metrics(self, two_level_params, points):
         window = AxisWindow(Axis.AMPLITUDE_SCALE, 0.99, 1.01, points=points)
         result = compare_protocols(
-            Scenario.TWO_LEVEL,
-            two_level_params,
-            {ScheduleKind.FLAT_PI: TAU_PI},
+            RunSpec(two_level_params, durations={ScheduleKind.FLAT_PI: TAU_PI}, steps=5000),
             [window],
-            steps=5000,
         )
         assert result.dominance == []
         assert len(result.summaries) == 1
-        direct = run_protocol(
-            Scenario.TWO_LEVEL, two_level_params, ScheduleKind.FLAT_PI, TAU_PI, steps=5000
-        )
+        direct = run_protocol(RunSpec(two_level_params, steps=5000), ScheduleKind.FLAT_PI, TAU_PI)
         assert result.summaries[0].on_axis_fidelity == transfer_metrics(direct.final, 1).fidelity
 
     def test_on_axis_reuses_nominal_rows(self, two_level_params, monkeypatch):
@@ -303,13 +289,9 @@ class TestCompareProtocols:
             AxisWindow(Axis.AMPLITUDE_SCALE, 0.9, 1.1, points=3),
             AxisWindow(Axis.DETUNING_OFFSET, -OMEGA_M, OMEGA_M, points=3),
         ]
+        durations = {ScheduleKind.SIQUAD: T_SI, ScheduleKind.FLAT_PI: TAU_PI}
         result = compare_protocols(
-            Scenario.TWO_LEVEL,
-            two_level_params,
-            {ScheduleKind.SIQUAD: T_SI, ScheduleKind.FLAT_PI: TAU_PI},
-            windows,
-            delta_m=DELTA_M,
-            steps=2000,
+            RunSpec(two_level_params, durations=durations, delta_m=DELTA_M, steps=2000), windows
         )
         assert len(calls) == 12  # 2 protocols x 2 windows x 3 points, no extra runs
         nominal = {Axis.AMPLITUDE_SCALE: 1.0, Axis.DETUNING_OFFSET: 0.0}
@@ -329,13 +311,9 @@ class TestCompareProtocols:
             AxisWindow(Axis.AMPLITUDE_SCALE, 0.9, 1.1, points=41),
             AxisWindow(Axis.DETUNING_OFFSET, -OMEGA_M, OMEGA_M, points=41),
         ]
+        durations = {ScheduleKind.SIQUAD: T_SI, ScheduleKind.FLAT_PI: TAU_PI}
         result = compare_protocols(
-            Scenario.TWO_LEVEL,
-            two_level_params,
-            {ScheduleKind.SIQUAD: T_SI, ScheduleKind.FLAT_PI: TAU_PI},
-            windows,
-            delta_m=DELTA_M,
-            steps=20_000,
+            RunSpec(two_level_params, durations=durations, delta_m=DELTA_M, steps=20_000), windows
         )
         assert len(result.summaries) == 4  # 2 protocols x 2 axes
         assert len(result.dominance) == 4  # 2 ordered pairs x 2 axes
