@@ -204,7 +204,10 @@ def load_config_text(text: str) -> RunConfig:
         for key, kind in per_protocol.items():
             if kind not in protocols:
                 raise ConfigError(f"key {key}: protocol {kind.value} not listed in 'protocol'")
-            durations[kind] = _as_float(main, key)
+        # in the order of the protocol key, which compare's rows follow
+        for p in protocols:
+            if f"T_{p.value}_s" in main:
+                durations[p] = _as_float(main, f"T_{p.value}_s")
     for p in protocols:
         if p not in durations:
             if axis is not Axis.DURATION:

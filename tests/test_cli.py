@@ -363,6 +363,30 @@ compare_points = 5
         assert dom[0] == "axis,protocol_a,protocol_b,fraction_a_le_b,dominates"
         assert len(dom) == 5
 
+    def test_rows_follow_protocol_key_order(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path,
+            """
+scenario = two_level
+protocol = pi, siquad
+omega_m_hz = 150e3
+delta_m_hz = 10e6
+T_siquad_s = 1.9433333333333333e-05
+T_flat_pi_s = 3.3333333333333333e-06
+steps = 1000
+compare_points = 3
+""",
+            "order.cfg",
+        )
+        assert main(["compare", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        worst = (tmp_path / "order.compare_worst.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in worst] == ["flat_pi", "siquad"] * 2
+        dom = (tmp_path / "order.compare_dominance.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:3] for row in dom][:2] == [
+            ["flat_pi", "siquad"],
+            ["siquad", "flat_pi"],
+        ]
+
     def test_additive_amplitude_window_perturbs(self, tmp_path, capsys):
         # the default additive window is +-0.2 of the drive amplitude
         cfg_path = write_config(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -26,7 +28,7 @@ from quadsim import (
 )
 from quadsim import propagator
 
-from conftest import DELTA_M, OMEGA_M, TAU_PI
+from conftest import DELTA_BIG, DELTA_M, GAMMA, OMEGA0, OMEGA_M, TAU_PI
 
 
 def mpmath_expm(a: np.ndarray, terms: int = 60, dps: int = 50) -> np.ndarray:
@@ -49,6 +51,36 @@ def mpmath_expm(a: np.ndarray, terms: int = 60, dps: int = 50) -> np.ndarray:
     return out
 
 
+def random_matrix(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a / np.linalg.norm(a)
+
+
+def random_symmetric(seed: int) -> np.ndarray:
+    # complex symmetric with a non-Hermitian diagonal, like -i H dt of every model
+    a = random_matrix(3, seed)
+    a = a + a.T
+    return a * (4.0 / np.linalg.norm(a))
+
+
+def lambda_step() -> np.ndarray:
+    # one -i H dt of the decaying Lambda system at 73 728 steps over 2.85 ms:
+    # Delta*dt ~ 2.4e3 dominates the norm, the couplings are ~0.5
+    params = LambdaParams(omega_p0=OMEGA0, omega_s0=OMEGA0, delta_one_photon=DELTA_BIG, gamma=GAMMA)
+    h = make_model(params).hamiltonian_batch(
+        np.array([2 * math.pi * 3e3]), np.array([0.8 * OMEGA0]), np.array([0.6 * OMEGA0])
+    )[0]
+    return -1j * (2.85e-3 / 73_728) * h
+
+
+def assert_block_boundary_invisible(batch: np.ndarray) -> None:
+    together = expm_small(batch)
+    head = expm_small(batch[: propagator._BLOCK])
+    tail = expm_small(batch[propagator._BLOCK :])
+    assert np.array_equal(together, np.concatenate([head, tail]))
+
+
 class TestExpmSmall:
     def test_zero_matrix(self):
         assert np.array_equal(expm_small(np.zeros((3, 3))), np.eye(3))
@@ -58,19 +90,41 @@ class TestExpmSmall:
         result = expm_small(-1j * (math.pi / 2) * x)
         assert np.max(np.abs(result - (-1j) * x)) < 1e-12
 
-    # the 3x3 cases keep their original ids
+    # the 3x3 cases keep their original ids.  The series of the Lambda step
+    # needs ~e*||A|| terms and ||A||*log10(e) digits for its cancellation
     @pytest.mark.parametrize(
-        "dim, seed",
-        [pytest.param(3, seed, id=str(seed)) for seed in range(5)]
-        + [pytest.param(2, seed, id=f"2x2-{seed}") for seed in range(5)],
+        "make, terms, dps",
+        [pytest.param(functools.partial(random_matrix, 3, seed), 60, 50, id=str(seed)) for seed in range(5)]
+        + [pytest.param(functools.partial(random_matrix, 2, seed), 60, 50, id=f"2x2-{seed}") for seed in range(5)]
+        + [pytest.param(functools.partial(random_symmetric, seed), 60, 50, id=f"sym-{seed}") for seed in range(5)]
+        + [pytest.param(lambda_step, 6_700, 1_090, id="sym-lambda")],
     )
-    def test_matches_extended_precision_series(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        a /= np.linalg.norm(a)
-        expected = mpmath_expm(a)
+    def test_matches_extended_precision_series(self, make, terms, dps):
+        a = make()
+        expected = mpmath_expm(a, terms=terms, dps=dps)
         got = expm_small(a)
         assert np.linalg.norm(got - expected) < 1e-12 * np.linalg.norm(expected)
+
+    def test_symmetric_input_gives_bitwise_symmetric_output(self):
+        batch = np.stack([random_symmetric(seed) for seed in range(5)] + [lambda_step()])
+        got = expm_small(batch)
+        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+
+    def test_one_ulp_from_symmetric_takes_full_layout(self, monkeypatch):
+        a = random_symmetric(0)
+        b = a.copy()
+        b[0, 1] = complex(np.nextafter(a[0, 1].real, np.inf), a[0, 1].imag)
+        chosen = []
+        layout = propagator._layout
+
+        def spy(n, symmetric):
+            chosen.append(symmetric)
+            return layout(n, symmetric)
+
+        monkeypatch.setattr(propagator, "_layout", spy)
+        symmetric, full = expm_small(a), expm_small(b)
+        assert chosen == [True, False]
+        assert np.linalg.norm(full - symmetric) <= 1e-12 * np.linalg.norm(symmetric)
 
     @pytest.mark.parametrize("dim", [3, 2], ids=["3x3", "2x2"])
     def test_scaling_path_large_norm(self, dim):
@@ -109,10 +163,15 @@ class TestExpmSmall:
         n = propagator._BLOCK + 3
         batch = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
         batch *= 7.0 / np.linalg.norm(batch, axis=(-2, -1))[:, None, None]
-        together = expm_small(batch)
-        head = expm_small(batch[: propagator._BLOCK])
-        tail = expm_small(batch[propagator._BLOCK :])
-        assert np.array_equal(together, np.concatenate([head, tail]))
+        assert_block_boundary_invisible(batch)
+
+    def test_block_boundary_is_bitwise_invisible_on_symmetric_layout(self):
+        rng = np.random.default_rng(3)
+        n = propagator._BLOCK + 3
+        batch = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+        batch = batch + np.swapaxes(batch, 1, 2)
+        batch *= 7.0 / np.linalg.norm(batch, axis=(-2, -1))[:, None, None]
+        assert_block_boundary_invisible(batch)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(1)
@@ -362,6 +421,22 @@ class TestTrajectoryCsv:
         result = evolve(toy_lambda_request(steps=50))
         with pytest.raises(ValueError):
             write_trajectory_csv(result, tmp_path / "x.csv")
+
+
+def test_lambda_chunk_peak_memory(lambda_params):
+    # one chunk of step maps, (chunk, 3, 3) complex, is the unit: the step
+    # exponential holds its input and output plus cache-sized blocks, and a
+    # packed copy of the whole chunk would cross the bound
+    run = RunSpec(lambda_params, delta_m=DELTA_M, steps=propagator._CHUNK)
+    run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3)
+    tracemalloc.start()
+    try:
+        run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = propagator._CHUNK * 9 * np.dtype(complex).itemsize
+    assert peak <= 2.6 * chunk_bytes
 
 
 def test_run_protocol_convenience(two_level_params):
