@@ -209,6 +209,14 @@ steps = 500
         assert lines[0].startswith("t_s,re_1,im_1")
         assert len(lines) == 502
 
+    def test_trajectory_leaves_metrics_unchanged(self, tmp_path):
+        cfg_path = write_config(tmp_path, TWO_LEVEL_BASE)
+        plain, traced = tmp_path / "plain", tmp_path / "traced"
+        assert main(["simulate", "--config", cfg_path, "--out", str(plain)]) == 0
+        assert main(["simulate", "--config", cfg_path, "--out", str(traced), "--trajectory"]) == 0
+        metrics = (traced / "run.metrics.csv").read_bytes()
+        assert metrics == (plain / "run.metrics.csv").read_bytes()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TWO_LEVEL_BASE.replace("delta_m_hz = 10e6\n", ""))
         code = main(["simulate", "--config", cfg_path, "--out", str(tmp_path)])

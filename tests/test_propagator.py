@@ -190,6 +190,50 @@ class TestExpmSmall:
             expm_small(np.array([[np.inf, 0], [0, 0]]))
 
 
+def sequential_states(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    # oracle: one step map at a time, in order
+    states = []
+    for step in u:
+        psi = step @ psi
+        states.append(psi)
+    return np.array(states)
+
+
+def random_maps(dim: int, count: int, unitary: bool, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    q = np.linalg.qr(z)[0]
+    # non-unitary: columns scaled by 0.98 to 1.02, so norms neither blow up
+    # nor vanish over 2049 maps
+    return q if unitary else q * rng.uniform(0.98, 1.02, size=(count, 1, dim))
+
+
+class TestChainApply:
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 2049])
+    @pytest.mark.parametrize("unitary", [True, False], ids=["unitary", "non-unitary"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_sequential_loop(self, dim, unitary, count):
+        u = random_maps(dim, count, unitary, seed=count)
+        psi = np.arange(1, dim + 1) * (1.0 - 0.5j)
+        expected = sequential_states(u, psi)
+        every = propagator._chain_apply(u, psi, every=True)
+        assert every.shape == (count, dim)
+        err = np.linalg.norm(every - expected, axis=1)
+        assert np.all(err <= 1e-13 * np.linalg.norm(expected, axis=1))
+        assert np.array_equal(propagator._chain_apply(u, psi), every[-1:])
+
+    def test_single_map_takes_no_product(self, monkeypatch):
+        u = random_maps(3, 1, False, seed=0)
+        psi = np.array([1.0, 0.5j, -0.25])
+
+        def no_product(*args):
+            raise AssertionError("a single map needs no pairwise product")
+
+        monkeypatch.setattr(propagator, "_mul", no_product)
+        for every in (False, True):
+            assert np.array_equal(propagator._chain_apply(u, psi, every), [u[0] @ psi])
+
+
 def two_level_request(
     protocol=ScheduleKind.SIQUAD,
     duration=5.83 * TAU_PI,
@@ -254,6 +298,25 @@ class TestEvolveTwoLevel:
             evolve(two_level_request(steps=5))
         with pytest.raises(ValueError):
             evolve(replace(two_level_request(), initial=QuantumState.basis(3, 0)))
+
+
+@pytest.mark.parametrize("steps", [propagator._CHUNK + 1, 4099], ids=["chunk+1", "odd"])
+@pytest.mark.parametrize(
+    "params, duration",
+    [
+        ("two_level_params", 5.83 * TAU_PI),
+        ("lambda_params_no_decay", 2.85e-3),
+        ("lambda_params", 2.85e-3),
+    ],
+    ids=["2x2", "lambda", "lambda-decay"],
+)
+def test_trajectory_leaves_final_state_unchanged(request, params, duration, steps):
+    # chunk+1 ends on a chunk of one map
+    run = RunSpec(request.getfixturevalue(params), delta_m=DELTA_M, steps=steps)
+    plain = run_protocol(run, ScheduleKind.SIQUAD, duration)
+    traced = run_protocol(run, ScheduleKind.SIQUAD, duration, store_trajectory=True)
+    assert np.array_equal(traced.final.amplitudes, plain.final.amplitudes)
+    assert np.array_equal(traced.trajectory[1][-1], plain.final.amplitudes)
 
 
 def decay_params(gamma: float) -> LambdaParams:
@@ -423,20 +486,34 @@ class TestTrajectoryCsv:
             write_trajectory_csv(result, tmp_path / "x.csv")
 
 
-def test_lambda_chunk_peak_memory(lambda_params):
-    # one chunk of step maps, (chunk, 3, 3) complex, is the unit: the step
-    # exponential holds its input and output plus cache-sized blocks, and a
-    # packed copy of the whole chunk would cross the bound
-    run = RunSpec(lambda_params, delta_m=DELTA_M, steps=propagator._CHUNK)
-    run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3)
+def peak_in_chunks(run: RunSpec, **kwargs) -> float:
+    """tracemalloc peak of a SIQUAD run_protocol (after one untraced warm-up),
+    in units of one chunk of (chunk, 3, 3) complex step maps."""
+    run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3, **kwargs)
     tracemalloc.start()
     try:
-        run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3)
+        run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3, **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    chunk_bytes = propagator._CHUNK * 9 * np.dtype(complex).itemsize
-    assert peak <= 2.6 * chunk_bytes
+    return peak / (propagator._CHUNK * 9 * np.dtype(complex).itemsize)
+
+
+@pytest.mark.parametrize("steps", [propagator._CHUNK, 2 * propagator._CHUNK])
+def test_lambda_chunk_peak_memory(lambda_params, steps):
+    # one chunk of step maps is the unit: the step exponential holds its input
+    # and output plus cache-sized blocks, and a packed copy of the whole chunk,
+    # or the previous chunk's maps kept alive, would cross the bound
+    run = RunSpec(lambda_params, delta_m=DELTA_M, steps=steps)
+    assert peak_in_chunks(run) <= 2.6
+
+
+def test_lambda_trajectory_peak_memory(lambda_params_no_decay):
+    # two chunks: the stored trajectory (2/3 of a chunk of maps), one chunk's
+    # exponential and polish, and the product tree's levels; the previous
+    # chunk's maps or states kept alive would cross the bound
+    run = RunSpec(lambda_params_no_decay, delta_m=DELTA_M, steps=2 * propagator._CHUNK)
+    assert peak_in_chunks(run, store_trajectory=True) <= 4.0
 
 
 def test_run_protocol_convenience(two_level_params):
