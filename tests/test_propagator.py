@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import pytest
 
 from quadsim import (
     EvolveRequest,
+    EvolveResult,
     IntegrationError,
     LambdaParams,
     Method,
@@ -454,6 +456,17 @@ class TestConvergenceProbe:
             convergence_probe(two_level_request(), refinements=2)
 
 
+def per_value_rows(times, states) -> bytes:
+    """Trajectory CSV rows with each value rendered on its own by format()."""
+    lines = []
+    for t, psi in zip(times, states):
+        pops = np.abs(psi) ** 2
+        vals = [t] + [v for amp in psi for v in (amp.real, amp.imag)]
+        vals += [float(np.sum(pops))] + list(pops)
+        lines.append(",".join(format(x, ".15e") for x in vals) + "\n")
+    return "".join(lines).encode()
+
+
 class TestTrajectoryCsv:
     def test_columns_and_rows(self, tmp_path):
         result = evolve(toy_lambda_request(steps=50, store_trajectory=True))
@@ -479,6 +492,37 @@ class TestTrajectoryCsv:
             lines.append(",".join(format(x, ".15e") for x in vals) + "\n")
         body = path.read_bytes().split(b"\n", 1)[1]
         assert body == "".join(lines).encode()
+
+    def test_two_level_bytes(self, tmp_path):
+        result = evolve(two_level_request(steps=propagator._CSV_ROWS + 10, store_trajectory=True))
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(result, path)
+        header = b"t_s,re_1,im_1,re_2,im_2,norm_sq,pop_1,pop_2\n"
+        assert path.read_bytes() == header + per_value_rows(*result.trajectory)
+
+    def test_fallback_values_keep_their_bytes(self, tmp_path):
+        # -0.0, subnormals and an exact decimal tie (2^-24 has 17 significant
+        # digits, the last a 5) are written by format() itself, among values
+        # of the fast path
+        times = np.array([0.0, 5e-324, 1e-6])
+        states = np.array(
+            [
+                [complex(-0.0, 0.0), 2.0**-24, 0.5 + 0.5j],
+                [complex(0.0, -0.0), complex(5e-324, -2.2e-308), 2113662973114085.5],
+                [np.nextafter(1.0, 0.0), -(2.0**-24), complex(1e-300, -0.0)],
+            ]
+        )
+        result = EvolveResult(
+            final=QuantumState.basis(3, 0),
+            final_norm_sq=1.0,
+            populations=np.array([1.0, 0.0, 0.0]),
+            trajectory=(times, states),
+        )
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(result, path)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert body == per_value_rows(times, states)
+        assert body.startswith(b"0.000000000000000e+00,-0.000000000000000e+00,")
 
     def test_requires_stored_trajectory(self, tmp_path):
         result = evolve(toy_lambda_request(steps=50))
@@ -506,6 +550,37 @@ def test_lambda_chunk_peak_memory(lambda_params, steps):
     # or the previous chunk's maps kept alive, would cross the bound
     run = RunSpec(lambda_params, delta_m=DELTA_M, steps=steps)
     assert peak_in_chunks(run) <= 2.6
+
+
+def trajectory_csv_peak(rows: int) -> int:
+    """tracemalloc peak in bytes of writing a random 3-level trajectory of
+    `rows` rows (after one untraced write that builds the renderer's tables)."""
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
+    result = EvolveResult(
+        final=QuantumState.basis(3, 0),
+        final_norm_sq=1.0,
+        populations=np.array([1.0, 0.0, 0.0]),
+        trajectory=(np.linspace(0.0, 2.85e-3, rows), states),
+    )
+    write_trajectory_csv(result, os.devnull)
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(result, os.devnull)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_trajectory_csv_peak_memory():
+    # the writer renders one block of rows at a time, so its peak is a
+    # fraction of the states and does not grow with the row count; rendering
+    # the whole table at once would need 24 bytes per value, 35 MB here
+    rows = 2 * propagator._CHUNK + 1
+    peak = trajectory_csv_peak(rows)
+    assert peak <= 1.5 * rows * 3 * np.dtype(complex).itemsize
+    assert peak <= 1.05 * trajectory_csv_peak(rows // 2 + 1)
 
 
 def test_lambda_trajectory_peak_memory(lambda_params_no_decay):

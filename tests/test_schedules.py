@@ -348,3 +348,12 @@ class TestScheduleExport:
         assert len(lines) == 52
         last = [float(x) for x in lines[-1].split(",")]
         assert last[1] == pytest.approx(DELTA_M, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", [ScheduleKind.FAQUAD, ScheduleKind.STIRAP_GAUSSIAN])
+    def test_csv_bytes_match_per_value_rendering(self, tmp_path, kind):
+        schedule = sweep_schedule(kind)
+        path = tmp_path / "schedule.csv"
+        write_schedule_csv(schedule, path)
+        rows = schedule_table(schedule).tolist()
+        body = "".join(",".join(format(x, ".15e") for x in row) + "\n" for row in rows)
+        assert path.read_bytes() == ("t_s,delta_rad_s,omega_p_rad_s,omega_s_rad_s\n" + body).encode()
