@@ -228,6 +228,21 @@ def reference_gap(params: TwoLevelParams | LambdaParams) -> float:
     return three_level_gap(params)
 
 
+def from_entry_rows(rows: np.ndarray) -> np.ndarray:
+    """The (batch, n, n) matrices held in (n, n, batch) entry rows, as a view.
+
+    Lambda Hamiltonians and every 3x3 step map are stored this way, entries
+    outermost (structure of arrays): the propagator's elementwise kernels then
+    read each matrix entry of a batch as one contiguous row."""
+    return np.moveaxis(rows, -1, 0)
+
+
+def to_entry_rows(u: np.ndarray) -> np.ndarray:
+    """(batch, n, n) matrices as contiguous (n, n, batch) entry rows; no copy
+    when u came from :func:`from_entry_rows`."""
+    return np.ascontiguousarray(np.moveaxis(u, 0, -1))
+
+
 class TwoLevelModel:
     """Builds two-level Hamiltonian batches from schedule samples."""
 
@@ -252,7 +267,9 @@ class LambdaModel:
     """Builds three-level Lambda Hamiltonian batches from schedule samples.
 
     The Raman couplings come from the schedule; the microwave coupling
-    omega_m and the excited-level term Delta - i*gamma are static.
+    omega_m and the excited-level term Delta - i*gamma are static.  A batch
+    is built in entry rows (:func:`from_entry_rows`), the layout the 3x3
+    step exponential reads in place.
     """
 
     dim = 3
@@ -264,15 +281,11 @@ class LambdaModel:
     def hamiltonian_batch(
         self, delta: np.ndarray, omega_p: np.ndarray, omega_s: np.ndarray
     ) -> np.ndarray:
-        n = delta.shape[0]
         p = self.params
-        h = np.zeros((n, 3, 3), dtype=complex)
-        h[:, 0, 0] = delta
-        h[:, 0, 1] = 0.5 * p.omega_m
-        h[:, 1, 0] = 0.5 * p.omega_m
-        h[:, 0, 2] = 0.5 * omega_p
-        h[:, 2, 0] = 0.5 * omega_p
-        h[:, 1, 2] = 0.5 * omega_s
-        h[:, 2, 1] = 0.5 * omega_s
-        h[:, 2, 2] = p.delta_one_photon - 1j * p.gamma
-        return h
+        h = np.zeros((3, 3, delta.shape[0]), dtype=complex)
+        h[0, 0] = delta
+        h[0, 1] = h[1, 0] = 0.5 * p.omega_m
+        h[0, 2] = h[2, 0] = 0.5 * omega_p
+        h[1, 2] = h[2, 1] = 0.5 * omega_s
+        h[2, 2] = p.delta_one_photon - 1j * p.gamma
+        return from_entry_rows(h)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csvfloat import render_rows
-from .core_model import QuantumState
+from .core_model import QuantumState, from_entry_rows, to_entry_rows
 from .schedules import PulseSchedule
 
 _CHUNK = 65536
@@ -104,17 +104,21 @@ def expm_small(a: np.ndarray) -> np.ndarray:
     Larger matrices use scaling and squaring: the batch is scaled by one power
     of two so every Frobenius norm is <= 0.5, the degree-16 Taylor polynomial
     is evaluated by Paterson-Stockmeyer and the result squared back.  The
-    products are elementwise over a structure-of-arrays copy, (entries,
-    batch), taken in cache-sized blocks.  When every matrix of the batch is
-    exactly complex symmetric (A^T = A, as -i*H*dt is for every model here:
-    real couplings, decay on the diagonal), so is every power, partial sum
-    and square, and the copy holds only the n(n+1)/2 entries with i <= j: a
-    3x3 product then takes 18 multiply-adds instead of 27.  Each stored
-    entry is written back to (i, j) and (j, i), so the result is exactly
-    symmetric.  Any other batch uses all n*n entries.
+    products are elementwise over (entries, batch) rows, read in place from
+    the batch (a view for matrices stored entry-major, as the Lambda model
+    builds them, and for ordinary (batch, n, n) arrays alike) and copied in
+    cache-sized blocks.  When every matrix of the batch is exactly complex
+    symmetric (A^T = A, as -i*H*dt is for every model here: real couplings,
+    decay on the diagonal), so is every power, partial sum and square, and
+    a block holds only the n(n+1)/2 entries with i <= j: a 3x3 product then
+    takes 18 multiply-adds instead of 27, and a square, which is 15 of the
+    19 products of a Lambda step, 12 multiplies (z_ii = sum_k x_ik^2 from
+    one square per stored entry, z_ij = x_ij (x_ii + x_jj) + x_ik x_kj).
+    Each stored entry is written back to (i, j) and (j, i), so the result is
+    exactly symmetric.  Any other batch uses all n*n entries.
 
     Accurate to ~1e-12 relative in Frobenius norm for finite input.  The
-    result may be a view onto structure-of-arrays storage.
+    result may be a view onto entry-row storage (core_model.from_entry_rows).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -156,6 +160,10 @@ class _Layout(NamedTuple):
     expand: list  # stored row of each flat position i*n + j
     diag: list  # stored rows of the diagonal
     terms: tuple  # per stored entry (i, j): the (row of x, row of y) of x_ik y_kj
+    # symmetric layout only, per stored entry (i, j) of x @ x for x = x^T:
+    # on the diagonal (None, rows of the x_ik^2 in order of k); off it
+    # ((rows of x_ii, x_jj), (row, row) of x_ik x_kj for each k != i, j)
+    square: tuple | None
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,48 +174,56 @@ def _layout(n: int, symmetric: bool) -> _Layout:
     def row(i: int, j: int) -> int:
         return rows[min(i, j), max(i, j)] if symmetric else rows[i, j]
 
+    def square(i: int, j: int) -> tuple:
+        if i == j:
+            return None, tuple(row(i, k) for k in range(n))
+        rest = tuple((row(i, k), row(k, j)) for k in range(n) if k not in (i, j))
+        return (row(i, i), row(j, j)), rest
+
     expand = [row(i, j) for i in range(n) for j in range(n)]
     return _Layout(
         source=[i * n + j for i, j in pairs],
         expand=expand,
         diag=[row(i, i) for i in range(n)],
         terms=tuple(tuple((row(i, k), row(k, j)) for k in range(n)) for i, j in pairs),
+        square=tuple(square(i, j) for i, j in pairs) if symmetric else None,
     )
 
 
 def _expm_scaled_taylor(a: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
-    flat = a.reshape(-1, n * n)
+    # (n*n, batch) entry rows; a view for entry-major and (batch, n, n) storage
+    rows = np.moveaxis(a, (-2, -1), (0, 1)).reshape(n * n, -1)
     symmetric = all(
-        np.array_equal(flat[:, i * n + j], flat[:, j * n + i])
+        np.array_equal(rows[i * n + j], rows[j * n + i])
         for i in range(n)
         for j in range(i + 1, n)
     )
     layout = _layout(n, symmetric)
     # squared Frobenius norms without a batch-sized complex temporary
-    sq = np.einsum("bi,bi->b", flat.real, flat.real)
-    sq += np.einsum("bi,bi->b", flat.imag, flat.imag)
+    sq = np.einsum("ib,ib->b", rows.real, rows.real)
+    sq += np.einsum("ib,ib->b", rows.imag, rows.imag)
     max_norm = math.sqrt(float(np.max(sq))) if sq.size else 0.0
     k = 0 if max_norm <= 0.5 else int(math.ceil(math.log2(max_norm / 0.5)))
     scale = 2.0**-k
-    out = np.empty((n * n, flat.shape[0]), dtype=complex)
-    for lo in range(0, flat.shape[0], _BLOCK):
-        # packing per block keeps the packed copy cache-sized
-        b = flat[lo : lo + _BLOCK].T[layout.source]
+    out = np.empty(rows.shape, dtype=complex)
+    for lo in range(0, rows.shape[-1], _BLOCK):
+        # gathering per block keeps the stored rows cache-sized
+        b = rows[layout.source, lo : lo + _BLOCK]
         b *= scale
         p = _taylor16(b, layout)
         for _ in range(k):
-            p = _mul(p, p, layout)
+            p = _square(p, layout)
         for dest, row in zip(out, layout.expand):
             dest[lo : lo + _BLOCK] = p[row]
-    return _from_soa(out.reshape(n, n, -1)).reshape(a.shape)
+    return from_entry_rows(out.reshape(n, n, -1)).reshape(a.shape)
 
 
 def _taylor16(b: np.ndarray, layout: _Layout) -> np.ndarray:
     # sum_{j<=16} b^j/j! as Q0 + b4 (Q1 + b4 (Q2 + b4 (Q3 + b4/16!))), where
     # Qi = sum_{r<4} b^(4i+r)/(4i+r)!: 6 products instead of Horner's 15
-    b2 = _mul(b, b, layout)
-    b4 = _mul(b2, b2, layout)
+    b2 = _square(b, layout)
+    b4 = _square(b2, layout)
     powers = (b, b2, _mul(b2, b, layout))
     p = _INV_FACT[16] * b4
     for i in (3, 2, 1, 0):
@@ -233,26 +249,47 @@ def _mul(x: np.ndarray, y: np.ndarray, layout: _Layout) -> np.ndarray:
     return out
 
 
-def _to_soa(u: np.ndarray) -> np.ndarray:
-    """(batch, n, n) -> contiguous (n, n, batch); no copy when u came from _from_soa."""
-    return np.ascontiguousarray(np.moveaxis(u, 0, -1))
-
-
-def _from_soa(x: np.ndarray) -> np.ndarray:
-    return np.moveaxis(x, -1, 0)
+def _square(x: np.ndarray, layout: _Layout) -> np.ndarray:
+    # x @ x.  On the symmetric layout (x = x^T) the diagonal adds the squares
+    # of the stored entries in order of k, as _mul does, and an off-diagonal
+    # entry takes x_ij (x_ii + x_jj) + the other terms: 12 multiplies for 3x3
+    # instead of 18, the sum regrouped at rounding level
+    if layout.square is None:
+        return _mul(x, x, layout)
+    sq = x * x
+    out = np.empty_like(x)
+    tmp = np.empty(x.shape[-1], dtype=complex)
+    for own, (row, (ends, terms)) in enumerate(zip(out, layout.square)):
+        if ends is None:
+            first, second, *rest = terms
+            np.add(sq[first], sq[second], out=row)
+            for r in rest:
+                row += sq[r]
+        else:
+            np.add(x[ends[0]], x[ends[1]], out=row)
+            row *= x[own]
+            for l, r in terms:
+                row += np.multiply(x[l], x[r], out=tmp)
+    return out
 
 
 def _unitarize(u: np.ndarray) -> np.ndarray:
     # one Newton step toward the polar factor; keeps gamma=0 step maps unitary
-    # to machine precision so norm drift stays ~N*eps even at 1e6 steps
-    x = _to_soa(u)
-    n = x.shape[0]
+    # to machine precision so norm drift stays ~N*eps even at 1e6 steps.
+    # Taken in _BLOCK columns, so the adjoint and correction stay in cache
+    n = u.shape[-1]
     layout = _layout(n, False)
-    rows = x.reshape(n * n, -1)
-    corr = _mul(np.conj(np.swapaxes(x, 0, 1), order="C").reshape(n * n, -1), rows, layout)
-    corr *= -0.5
-    corr[layout.diag] += 1.5
-    return _from_soa(_mul(rows, corr, layout).reshape(n, n, -1))
+    rows = to_entry_rows(u).reshape(n * n, -1)
+    adjoint = [j * n + i for i in range(n) for j in range(n)]  # row of x_ji
+    out = np.empty_like(rows)
+    for lo in range(0, rows.shape[-1], _BLOCK):
+        x = rows[:, lo : lo + _BLOCK]
+        x_h = x[adjoint]
+        corr = _mul(np.conj(x_h, out=x_h), x, layout)
+        corr *= -0.5
+        corr[layout.diag] += 1.5
+        out[:, lo : lo + _BLOCK] = _mul(x, corr, layout)
+    return from_entry_rows(out.reshape(n, n, -1))
 
 
 def _chain_apply(u: np.ndarray, psi: np.ndarray, every: bool = False) -> np.ndarray:
@@ -264,7 +301,7 @@ def _chain_apply(u: np.ndarray, psi: np.ndarray, every: bool = False) -> np.ndar
     where column k + 1 is the state after map k; the rest came from above."""
     n = u.shape[-1]
     layout = _layout(n, False)
-    levels = [_to_soa(u).reshape(n * n, -1)]
+    levels = [to_entry_rows(u).reshape(n * n, -1)]
     while levels[-1].shape[-1] > 1:
         m = levels[-1] if every else levels.pop()  # only the down-sweep needs them
         count = m.shape[-1]

@@ -8,9 +8,11 @@ delta(t), leaving the one-photon detuning untouched; a duration point rebuilds
 the schedule at that total time.
 
 Axis points are independent tasks.  Set QUAD_WORKERS > 1 to run them in a
-process pool of min(QUAD_WORKERS, cpu count, number of tasks) workers; a value
-that is not an integer >= 1 is rejected.  Results are assembled in axis order
-either way, so output is identical for any worker count.
+process pool of min(QUAD_WORKERS, usable CPUs, number of tasks) workers, where
+the usable CPUs are those of the process's affinity mask (os.cpu_count() on a
+platform without one); a value that is not an integer >= 1 is rejected.
+Results are assembled in axis order either way, so output is identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -296,12 +298,20 @@ def worker_count() -> int:
     return workers
 
 
+def _usable_cpus() -> int:
+    # an affinity mask (taskset, container cpusets) can leave fewer CPUs than
+    # os.cpu_count() counts
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the full protocols x axis grid; rows are ordered protocol-major."""
     grid = spec.window.grid()
     tasks = [(spec, protocol, value) for protocol in spec.run.protocols for value in grid]
     started = time.monotonic()
-    workers = min(worker_count(), os.cpu_count() or 1, len(tasks))
+    workers = min(worker_count(), _usable_cpus(), len(tasks))
     if workers > 1:
         chunksize = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:

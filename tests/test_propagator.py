@@ -14,6 +14,7 @@ from quadsim import (
     EvolveRequest,
     EvolveResult,
     IntegrationError,
+    LambdaModel,
     LambdaParams,
     Method,
     PulseSchedule,
@@ -29,6 +30,7 @@ from quadsim import (
     write_trajectory_csv,
 )
 from quadsim import propagator
+from quadsim.core_model import from_entry_rows
 
 from conftest import DELTA_BIG, DELTA_M, GAMMA, OMEGA0, OMEGA_M, TAU_PI
 
@@ -175,6 +177,33 @@ class TestExpmSmall:
         batch *= 7.0 / np.linalg.norm(batch, axis=(-2, -1))[:, None, None]
         assert_block_boundary_invisible(batch)
 
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
+    def test_entry_major_storage_gives_bitwise_equal_result(self, symmetric):
+        rng = np.random.default_rng(4)
+        batch = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
+        if symmetric:
+            batch = np.concatenate([batch + np.swapaxes(batch, 1, 2), [lambda_step()]])
+        entry_major = from_entry_rows(np.ascontiguousarray(np.moveaxis(batch, 0, -1)))
+        assert np.array_equal(entry_major, batch)
+        assert np.array_equal(expm_small(entry_major), expm_small(batch))
+
+    def test_symmetric_square_matches_product(self):
+        # random symmetric matrices, Lambda steps at every scale from 2.4e3
+        # down to the Taylor range, and the exponentials of those, which are
+        # the matrices the squarings take
+        steps = lambda_step() * 2.0 ** -np.arange(13.0)[:, None, None]
+        full = np.concatenate(
+            [[random_symmetric(seed) for seed in range(20)], steps, expm_small(steps)]
+        )
+        layout = propagator._layout(3, True)
+        x = np.moveaxis(full, 0, -1).reshape(9, -1)[layout.source]
+        square, product = propagator._square(x, layout), propagator._mul(x, x, layout)
+        # the diagonal adds the same products in the same order
+        assert np.array_equal(square[layout.diag], product[layout.diag])
+        diff = (square - product)[layout.expand]
+        scale = np.linalg.norm(full, axis=(1, 2)) ** 2
+        assert np.all(np.linalg.norm(diff, axis=0) <= 1e-15 * scale)
+
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(1)
         batch = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
@@ -190,6 +219,15 @@ class TestExpmSmall:
             expm_small(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             expm_small(np.array([[np.inf, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_unitarize_block_boundary_is_bitwise_invisible(dim):
+    u = random_maps(dim, propagator._BLOCK + 3, unitary=False, seed=dim)
+    together = propagator._unitarize(u)
+    head = propagator._unitarize(u[: propagator._BLOCK])
+    tail = propagator._unitarize(u[propagator._BLOCK :])
+    assert np.array_equal(together, np.concatenate([head, tail]))
 
 
 def sequential_states(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -344,6 +382,45 @@ def toy_lambda_request(gamma=2 * math.pi * 0.3e6, steps=20000, **kwargs):
         steps=steps,
         **kwargs,
     )
+
+
+class AosLambdaModel(LambdaModel):
+    """The Lambda Hamiltonian stored matrix by matrix, (n, 3, 3): the
+    reference the entry-row build must match bit for bit."""
+
+    def hamiltonian_batch(self, delta, omega_p, omega_s):
+        n = delta.shape[0]
+        p = self.params
+        h = np.zeros((n, 3, 3), dtype=complex)
+        h[:, 0, 0] = delta
+        h[:, 0, 1] = 0.5 * p.omega_m
+        h[:, 1, 0] = 0.5 * p.omega_m
+        h[:, 0, 2] = 0.5 * omega_p
+        h[:, 2, 0] = 0.5 * omega_p
+        h[:, 1, 2] = 0.5 * omega_s
+        h[:, 2, 1] = 0.5 * omega_s
+        h[:, 2, 2] = p.delta_one_photon - 1j * p.gamma
+        return h
+
+
+@pytest.mark.parametrize("params", ["lambda_params", "lambda_params_no_decay"])
+def test_lambda_evolve_independent_of_hamiltonian_layout(request, params):
+    params = replace(request.getfixturevalue(params), omega_m=OMEGA_M)
+    samples = [np.linspace(-DELTA_M, DELTA_M, 7), np.full(7, OMEGA0), np.full(7, 0.5 * OMEGA0)]
+    built = make_model(params).hamiltonian_batch(*samples)
+    reference = AosLambdaModel(params).hamiltonian_batch(*samples)
+    assert np.array_equal(built, reference) and built.strides != reference.strides
+    req = EvolveRequest(
+        model=make_model(params),
+        schedule=make_schedule(params, ScheduleKind.SIQUAD, 2.85e-3, delta_m=DELTA_M),
+        initial=QuantumState.basis(3, 0),
+        steps=propagator._CHUNK + 5,
+        store_trajectory=True,
+    )
+    got = evolve(req)
+    expected = evolve(replace(req, model=AosLambdaModel(params)))
+    assert np.array_equal(got.final.amplitudes, expected.final.amplitudes)
+    assert np.array_equal(got.trajectory[1], expected.trajectory[1])
 
 
 class TestEvolveWithDecay:

@@ -218,10 +218,16 @@ class TestRunSweep:
         serial = run_sweep(spec).rows
         monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv("QUAD_WORKERS", "64")
+        # without an affinity mask the cap is the cpu count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         for cpus in (3, 256, None):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert run_sweep(spec).rows == serial
         assert sizes == [3, 10]  # an unknown cpu count means one worker: no pool
+        # with one, the cap is the CPUs it allows, not the 256 counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7}, raising=False)
+        assert run_sweep(spec).rows == serial
+        assert sizes == [3, 10, 4]
 
     @pytest.mark.parametrize("raw", ["abc", "-3", "0", "2.5"])
     def test_bad_worker_count_rejected(self, two_level_params, monkeypatch, raw):
