@@ -8,7 +8,10 @@ Two fixed-step methods:
                     midpoint sampling gives global order 2.  Because each
                     sub-step is an exact exponential, fast static phases
                     (large one-photon detunings) cost nothing: the step count
-                    is set by how fast the controls vary.  One pairwise
+                    is set by how fast the controls vary.  A 3x3 step whose
+                    excited level dominates, as every Lambda step does, has
+                    that level split off exactly, so its phase takes no
+                    squarings either (see expm_small).  One pairwise
                     product tree gives the final state and, for a stored
                     trajectory, every state on the way; storing one changes
                     no reported number.
@@ -101,21 +104,38 @@ def expm_small(a: np.ndarray) -> np.ndarray:
     they neither overflow where exp(A) is finite nor cancel as s -> 0; s = 0
     (a nilpotent or scalar A) takes sinh(s)/s = 1.
 
-    Larger matrices use scaling and squaring: the batch is scaled by one power
-    of two so every Frobenius norm is <= 0.5, the degree-16 Taylor polynomial
-    is evaluated by Paterson-Stockmeyer and the result squared back.  The
-    products are elementwise over (entries, batch) rows, read in place from
-    the batch (a view for matrices stored entry-major, as the Lambda model
-    builds them, and for ordinary (batch, n, n) arrays alike) and copied in
-    cache-sized blocks.  When every matrix of the batch is exactly complex
+    3x3 batches are read as (entries, batch) rows, in place from the batch (a
+    view for matrices stored entry-major, as the Lambda model builds them,
+    and for ordinary (batch, n, n) arrays alike), and taken in cache-sized
+    blocks.  The data picks one of two kernels.
+
+    Block-decoupled (exact, no scaling): every matrix is exactly complex
     symmetric (A^T = A, as -i*H*dt is for every model here: real couplings,
-    decay on the diagonal), so is every power, partial sum and square, and
-    a block holds only the n(n+1)/2 entries with i <= j: a 3x3 product then
-    takes 18 multiply-adds instead of 27, and a square, which is 15 of the
-    19 products of a Lambda step, 12 multiplies (z_ii = sum_k x_ik^2 from
-    one square per stored entry, z_ij = x_ij (x_ii + x_jj) + x_ik x_kj).
-    Each stored entry is written back to (i, j) and (j, i), so the result is
-    exactly symmetric.  Any other batch uses all n*n entries.
+    decay on the diagonal) and has a strictly dominant last diagonal entry,
+    (|a02| + |a12|) <= 2^-8 (|a22| - |a00| - |a11| - 2|a01|) with the bracket
+    > 0, as every Lambda step has with its 2pi x 10 GHz detuning (and, so
+    that no intermediate underflows or overflows, the bracket >= 2^-500 and
+    |a22| <= 2^500).  With B the
+    leading 2x2 block and c = (a02, a12), the isolated eigenvalue solves
+    lambda = a22 + c^T (lambda I - B)^-1 c; three fixed-point steps from a22
+    converge to rounding, each shrinking the error by the squared coupling
+    ratio.  With x = (lambda I - B)^-1 c, T = [[I, x], [-x^T, 1]] splits A:
+    exp(A) = T diag(exp(R), e^lambda) T^-1 with R = B - c x^T, whose
+    exponential is the 2x2 closed form above, and T^-1 = diag(I - x x^T/s,
+    1/s) T^T, s = 1 + x^T x (the block Schur-Parlett idea).  Each stored
+    entry (i <= j) is written to (i, j) and (j, i).
+
+    Scaling and squaring, for every other batch: the batch is scaled by one
+    power of two so every Frobenius norm is <= 0.5, the degree-16 Taylor
+    polynomial is evaluated by Paterson-Stockmeyer and the result squared
+    back, all as elementwise products over (entries, batch) rows.  When every
+    matrix of the batch is exactly complex symmetric, so is every power,
+    partial sum and square, and a block holds only the n(n+1)/2 entries with
+    i <= j: a 3x3 product then takes 18 multiply-adds instead of 27, and a
+    square 12 multiplies (z_ii = sum_k x_ik^2 from one square per stored
+    entry, z_ij = x_ij (x_ii + x_jj) + x_ik x_kj).  Each stored entry is
+    written back to (i, j) and (j, i), so the result is exactly symmetric.
+    Any other batch uses all n*n entries.
 
     Accurate to ~1e-12 relative in Frobenius norm for finite input.  The
     result may be a view onto entry-row storage (core_model.from_entry_rows).
@@ -125,13 +145,27 @@ def expm_small(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite matrix entries")
-    if a.shape[-1] == 2:
-        return _expm_2x2(a)
-    return _expm_scaled_taylor(a)
+    n = a.shape[-1]
+    if n == 2:
+        out = _expm_2x2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1])
+        return np.moveaxis(out.reshape((2, 2) + a.shape[:-2]), (0, 1), (-2, -1))
+    # (n*n, batch) entry rows; a view for entry-major and (batch, n, n) storage
+    rows = np.moveaxis(a, (-2, -1), (0, 1)).reshape(n * n, -1)
+    symmetric = all(
+        np.array_equal(rows[i * n + j], rows[j * n + i])
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    if symmetric and n == 3 and _last_entry_dominates(rows):
+        out = _expm_decoupled(rows)
+    else:
+        out = _expm_scaled_taylor(rows, symmetric)
+    return from_entry_rows(out.reshape(n, n, -1)).reshape(a.shape)
 
 
-def _expm_2x2(a: np.ndarray) -> np.ndarray:
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+def _expm_2x2(a00, a01, a10, a11) -> np.ndarray:
+    # exp([[a00, a01], [a10, a11]]) elementwise, as one (4, ...) array of
+    # the entries 00, 01, 10, 11
     m = 0.5 * (a00 + a11)
     d = 0.5 * (a00 - a11)
     s = np.sqrt(d * d + a01 * a10)
@@ -142,12 +176,64 @@ def _expm_2x2(a: np.ndarray) -> np.ndarray:
     np.divide(-0.5 * g, s, out=sinhc_m, where=s != 0)
     sinhc_m *= up
     nd = sinhc_m * d
-    out = np.empty((2, 2) + a.shape[:-2], dtype=complex)
-    out[0, 0] = cosh_m + nd
-    out[0, 1] = sinhc_m * a01
-    out[1, 0] = sinhc_m * a10
-    out[1, 1] = cosh_m - nd
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    out = np.empty((4,) + np.shape(s), dtype=complex)
+    np.add(cosh_m, nd, out=out[0, ...])
+    np.multiply(sinhc_m, a01, out=out[1, ...])
+    np.multiply(sinhc_m, a10, out=out[2, ...])
+    np.subtract(cosh_m, nd, out=out[3, ...])
+    return out
+
+
+def _last_entry_dominates(rows: np.ndarray) -> bool:
+    # (|a02| + |a12|) <= 2^-8 gap for every 3x3 matrix of the (9, batch)
+    # entry rows, with gap = |a22| - |a00| - |a11| - 2|a01| > 0: a zero gap,
+    # as for the zero matrix, is no dominance.  gap >= 2^-500 and
+    # |a22| <= 2^500 also keep det(lambda I - B), between about gap^2 and
+    # 4 |a22|^2, clear of underflow and overflow
+    last = np.abs(rows[8])
+    gap = last - np.abs(rows[0]) - np.abs(rows[4]) - 2.0 * np.abs(rows[1])
+    coupling = np.abs(rows[2]) + np.abs(rows[5])
+    return bool(
+        np.all(gap >= 2.0**-500)
+        and np.all(last <= 2.0**500)
+        and np.all(coupling <= 2.0**-8 * gap)
+    )
+
+
+def _expm_decoupled(rows: np.ndarray) -> np.ndarray:
+    # exp of complex-symmetric 3x3 matrices with a dominant last diagonal
+    # entry, from (9, batch) entry rows to (9, batch) rows (see expm_small)
+    out = np.empty(rows.shape, dtype=complex)
+    for lo in range(0, rows.shape[-1], _BLOCK):
+        b00, b01, c0, b11, c1, a22 = rows[[0, 1, 2, 4, 5, 8], lo : lo + _BLOCK]
+        b01_sq = b01 * b01
+        # c^T (lambda I - B)^-1 c = (r c0^2 + p c1^2 + 2 b01 c0 c1) / (p r - b01^2)
+        # with p = lambda - b00, r = lambda - b11
+        c0_sq, c1_sq, cross = c0 * c0, c1 * c1, 2.0 * b01 * c0 * c1
+        lam = a22
+        for _ in range(3):
+            p, r = lam - b00, lam - b11
+            lam = a22 + (r * c0_sq + p * c1_sq + cross) / (p * r - b01_sq)
+        p, r = lam - b00, lam - b11
+        inv_det = 1.0 / (p * r - b01_sq)
+        x0 = (r * c0 + b01 * c1) * inv_det
+        x1 = (p * c1 + b01 * c0) * inv_det
+        e00, e01, e10, e11 = _expm_2x2(b00 - c0 * x0, b01 - c0 * x1, b01 - c1 * x0, b11 - c1 * x1)
+        # T diag(E, mu) T^-1 = T diag(E (I - x x^T/s), mu/s) T^T; with
+        # z = (mu x - E x)/s its last column is z, its corner mu - x^T z
+        # and its leading block E + z x^T
+        mu = np.exp(lam)
+        inv_s = 1.0 / (1.0 + x0 * x0 + x1 * x1)
+        z0 = (mu * x0 - e00 * x0 - e01 * x1) * inv_s
+        z1 = (mu * x1 - e10 * x0 - e11 * x1) * inv_s
+        block = out[:, lo : lo + _BLOCK]
+        block[0] = e00 + x0 * z0
+        block[1] = block[3] = e01 + x1 * z0
+        block[2] = block[6] = z0
+        block[4] = e11 + x1 * z1
+        block[5] = block[7] = z1
+        block[8] = mu - x0 * z0 - x1 * z1
+    return out
 
 
 class _Layout(NamedTuple):
@@ -190,15 +276,9 @@ def _layout(n: int, symmetric: bool) -> _Layout:
     )
 
 
-def _expm_scaled_taylor(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    # (n*n, batch) entry rows; a view for entry-major and (batch, n, n) storage
-    rows = np.moveaxis(a, (-2, -1), (0, 1)).reshape(n * n, -1)
-    symmetric = all(
-        np.array_equal(rows[i * n + j], rows[j * n + i])
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+def _expm_scaled_taylor(rows: np.ndarray, symmetric: bool) -> np.ndarray:
+    # exp of the (n*n, batch) entry rows to (n*n, batch) rows (see expm_small)
+    n = math.isqrt(rows.shape[0])
     layout = _layout(n, symmetric)
     # squared Frobenius norms without a batch-sized complex temporary
     sq = np.einsum("ib,ib->b", rows.real, rows.real)
@@ -216,7 +296,7 @@ def _expm_scaled_taylor(a: np.ndarray) -> np.ndarray:
             p = _square(p, layout)
         for dest, row in zip(out, layout.expand):
             dest[lo : lo + _BLOCK] = p[row]
-    return from_entry_rows(out.reshape(n, n, -1)).reshape(a.shape)
+    return out
 
 
 def _taylor16(b: np.ndarray, layout: _Layout) -> np.ndarray:

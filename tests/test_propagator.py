@@ -68,14 +68,57 @@ def random_symmetric(seed: int) -> np.ndarray:
     return a * (4.0 / np.linalg.norm(a))
 
 
+def lambda_steps(
+    steps: int,
+    duration: float,
+    delta,
+    omega_p,
+    omega_s,
+    gamma: float = GAMMA,
+    omega_m: float = 0.0,
+) -> np.ndarray:
+    """-i H dt of the Lambda system, one per sample of the controls."""
+    params = LambdaParams(
+        omega_p0=OMEGA0, omega_s0=OMEGA0, delta_one_photon=DELTA_BIG, omega_m=omega_m, gamma=gamma
+    )
+    h = make_model(params).hamiltonian_batch(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (delta, omega_p, omega_s))
+    )
+    return -1j * (duration / steps) * h
+
+
 def lambda_step() -> np.ndarray:
     # one -i H dt of the decaying Lambda system at 73 728 steps over 2.85 ms:
     # Delta*dt ~ 2.4e3 dominates the norm, the couplings are ~0.5
-    params = LambdaParams(omega_p0=OMEGA0, omega_s0=OMEGA0, delta_one_photon=DELTA_BIG, gamma=GAMMA)
-    h = make_model(params).hamiltonian_batch(
-        np.array([2 * math.pi * 3e3]), np.array([0.8 * OMEGA0]), np.array([0.6 * OMEGA0])
-    )[0]
-    return -1j * (2.85e-3 / 73_728) * h
+    return lambda_steps(73_728, 2.85e-3, 2 * math.pi * 3e3, 0.8 * OMEGA0, 0.6 * OMEGA0)[0]
+
+
+def lambda_sweep(count: int) -> np.ndarray:
+    # count Lambda steps at 73 728 steps over 2.85 ms across a sweep: the
+    # detuning from -delta_m to delta_m, the pump rising as the Stokes falls
+    ramp = np.linspace(0.0, 1.2, count)
+    return lambda_steps(
+        73_728, 2.85e-3, np.linspace(-DELTA_M, DELTA_M, count), ramp * OMEGA0, ramp[::-1] * OMEGA0,
+        omega_m=OMEGA_M,
+    )
+
+
+def with_entry(a: np.ndarray, i: int, j: int, value: complex) -> np.ndarray:
+    a = a.copy()
+    a[i, j] = value
+    return a
+
+
+def one_ulp_smaller(z: complex) -> complex:
+    return complex(z.real, np.nextafter(z.imag, 0.0))
+
+
+def coupled_at_ratio(last: float) -> np.ndarray:
+    # complex symmetric, coupling sum |a02| + |a12| = 1 and gap
+    # |a22| - |a00| - |a11| - 2|a01| = last - 2: coupling ratio 2^-8 at last = 258
+    return np.array(
+        [[1.0, 0.25j, 0.75], [0.25j, -0.5j, -0.25j], [0.75, -0.25j, -1j * last]], dtype=complex
+    )
 
 
 def assert_block_boundary_invisible(batch: np.ndarray) -> None:
@@ -219,6 +262,108 @@ class TestExpmSmall:
             expm_small(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             expm_small(np.array([[np.inf, 0], [0, 0]]))
+
+
+def kernels_taken(monkeypatch, a: np.ndarray) -> tuple[list, np.ndarray]:
+    """The 3x3 kernels expm_small runs on `a`, in call order, and its result."""
+    taken = []
+    for name in ("_expm_decoupled", "_expm_scaled_taylor"):
+
+        def spy(*args, kernel=getattr(propagator, name), name=name):
+            taken.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(propagator, name, spy)
+    return taken, expm_small(a)
+
+
+def series_size(a: np.ndarray) -> tuple[int, int]:
+    # terms and digits for mpmath_expm: the series needs ~e*||A|| terms, and
+    # its terms peak near e^||A|| before they cancel to exp(A)
+    norm = float(np.linalg.norm(a))
+    return int(2.8 * norm) + 60, int(0.45 * norm) + 50
+
+
+class TestDecoupledPath:
+    """The exact block-decoupled kernel for complex-symmetric 3x3 batches
+    with a dominant last diagonal entry, as every Lambda step has."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(
+                lambda: lambda_steps(73_728, 2.85e-3, DELTA_M, 0.8 * OMEGA0, 0.6 * OMEGA0, 0.0, OMEGA_M)[0],
+                id="73728-steps",
+            ),
+            pytest.param(
+                lambda: lambda_steps(131_072, 2.85e-3, -DELTA_M, 1.2 * OMEGA0, 0.3 * OMEGA0, 0.0, OMEGA_M)[0],
+                id="131072-steps",
+            ),
+            pytest.param(
+                lambda: lambda_steps(500_000, 2.85e-3, DELTA_M, 0.6 * OMEGA0, 0.8 * OMEGA0, 0.0)[0],
+                id="500000-steps",
+            ),
+            pytest.param(
+                lambda: lambda_steps(1_000_000, 21.12e-3, -DELTA_M, OMEGA0, 0.5 * OMEGA0, 0.0)[0],
+                id="1e6-steps-21.12ms",
+            ),
+            # dark and bright state split only by the light shift: s -> 0 in exp(R)
+            pytest.param(
+                lambda: lambda_steps(131_072, 2.85e-3, 0.0, OMEGA0, OMEGA0, 0.0)[0], id="dark-bright"
+            ),
+            pytest.param(
+                lambda: lambda_steps(131_072, 2.85e-3, DELTA_M, 0.8 * OMEGA0, 0.6 * OMEGA0, GAMMA, OMEGA_M)[0],
+                id="decay",
+            ),
+            pytest.param(functools.partial(coupled_at_ratio, 258.0), id="ratio-2^-8"),
+            pytest.param(lambda: lambda_step() * 2.0**-12, id="last-entry-below-1"),
+        ],
+    )
+    def test_matches_extended_precision_series(self, monkeypatch, make):
+        a = make()
+        taken, got = kernels_taken(monkeypatch, a)
+        assert taken == ["_expm_decoupled"]
+        expected = mpmath_expm(a, *series_size(a))
+        assert np.linalg.norm(got - expected) < 1e-12 * np.linalg.norm(expected)
+
+    def test_output_is_bitwise_symmetric(self, monkeypatch):
+        taken, got = kernels_taken(monkeypatch, lambda_sweep(50))
+        assert taken == ["_expm_decoupled"]
+        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+
+    def test_block_boundary_is_bitwise_invisible(self, monkeypatch):
+        batch = lambda_sweep(propagator._BLOCK + 3)
+        taken, _ = kernels_taken(monkeypatch, batch)
+        assert taken == ["_expm_decoupled"]
+        assert_block_boundary_invisible(batch)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: np.zeros((3, 3)), id="zero"),
+            pytest.param(lambda: with_entry(lambda_step(), 2, 2, 0.0), id="a22-zero"),
+            pytest.param(
+                lambda: with_entry(lambda_step(), 0, 2, one_ulp_smaller(lambda_step()[0, 2])),
+                id="one-ulp-asymmetric",
+            ),
+            # dominant, but det(lambda I - B) ~ 1e-400 underflows
+            pytest.param(lambda: np.diag([0.0, 0.0, 1e-200]), id="gap-below-2^-500"),
+            # past the 2^500 guard on det(lambda I - B); the squarings overflow
+            pytest.param(
+                lambda: np.diag([0.0, 0.0, -1j * 2.0**501]),
+                id="last-entry-above-2^500",
+                marks=pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid"),
+            ),
+            # the last diagonal entry one ulp short of a coupling ratio of 2^-8
+            pytest.param(
+                lambda: np.concatenate([lambda_sweep(4), [coupled_at_ratio(np.nextafter(258.0, 0.0))]]),
+                id="one-matrix-ineligible",
+            ),
+        ],
+    )
+    def test_ineligible_batches_take_taylor_kernel(self, monkeypatch, make):
+        taken, _ = kernels_taken(monkeypatch, make())
+        assert taken == ["_expm_scaled_taylor"]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
