@@ -34,6 +34,8 @@ from quadsim.core_model import from_entry_rows
 
 from conftest import DELTA_BIG, DELTA_M, GAMMA, OMEGA0, OMEGA_M, TAU_PI
 
+EPS = np.finfo(float).eps
+
 
 def mpmath_expm(a: np.ndarray, terms: int = 60, dps: int = 50) -> np.ndarray:
     """Brute-force Taylor series oracle in extended precision."""
@@ -93,13 +95,13 @@ def lambda_step() -> np.ndarray:
     return lambda_steps(73_728, 2.85e-3, 2 * math.pi * 3e3, 0.8 * OMEGA0, 0.6 * OMEGA0)[0]
 
 
-def lambda_sweep(count: int) -> np.ndarray:
-    # count Lambda steps at 73 728 steps over 2.85 ms across a sweep: the
+def lambda_sweep(count: int, steps: int = 73_728, gamma: float = GAMMA) -> np.ndarray:
+    # count Lambda steps at `steps` steps over 2.85 ms across a sweep: the
     # detuning from -delta_m to delta_m, the pump rising as the Stokes falls
     ramp = np.linspace(0.0, 1.2, count)
     return lambda_steps(
-        73_728, 2.85e-3, np.linspace(-DELTA_M, DELTA_M, count), ramp * OMEGA0, ramp[::-1] * OMEGA0,
-        omega_m=OMEGA_M,
+        steps, 2.85e-3, np.linspace(-DELTA_M, DELTA_M, count), ramp * OMEGA0, ramp[::-1] * OMEGA0,
+        gamma, OMEGA_M,
     )
 
 
@@ -366,6 +368,124 @@ class TestDecoupledPath:
         assert taken == ["_expm_scaled_taylor"]
 
 
+def polish_calls(monkeypatch) -> list:
+    """The shapes of the batches propagator._unitarize polishes, in call
+    order; the polish itself still runs."""
+    calls = []
+
+    def spy(u, unitarize=propagator._unitarize):
+        calls.append(u.shape)
+        return unitarize(u)
+
+    monkeypatch.setattr(propagator, "_unitarize", spy)
+    return calls
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    # max over the batch of the Frobenius norm of U^H U - I
+    gram = np.conj(np.swapaxes(u, -1, -2)) @ u
+    return float(np.max(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1))))
+
+
+def two_level_steps(kind, duration: float, steps: int, scale: float) -> np.ndarray:
+    # -i H dt of a two-level run at every step midpoint, couplings scaled
+    req = two_level_request(kind, duration, steps=steps, amplitude_scale=scale)
+    dt = duration / steps
+    return -1j * dt * propagator._hamiltonian_chunk(req, (np.arange(steps) + 0.5) * dt)
+
+
+def skew_hermitian_batch() -> np.ndarray:
+    # -i H dt for random real symmetric H, norms up to 3: a few squarings on
+    # the Taylor kernel, and no dominant last diagonal entry
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(50, 3, 3))
+    h = h + np.swapaxes(h, 1, 2)
+    return -1j * h * (3.0 / np.max(np.linalg.norm(h, axis=(1, 2))))
+
+
+class TestUnitarityPolish:
+    """One Newton step toward the polar factor (_unitarize) follows the
+    Taylor kernel, whose maps are accurate to about 1e-12, on exactly
+    skew-Hermitian input.  The 2x2 closed form and the block-decoupled kernel
+    are unitary to rounding without it."""
+
+    @pytest.mark.parametrize("steps", [73_728, 131_072])
+    def test_decoupled_maps_are_unitary_unpolished(self, monkeypatch, steps):
+        calls = polish_calls(monkeypatch)
+        taken, u = kernels_taken(monkeypatch, lambda_sweep(5000, steps, gamma=0.0))
+        assert taken == ["_expm_decoupled"] and calls == []
+        assert unitarity_defect(u) <= 8 * EPS
+
+    @pytest.mark.parametrize(
+        "kind, duration",
+        [
+            (ScheduleKind.FLAT_PI, TAU_PI),
+            (ScheduleKind.FAQUAD, 6.33 * TAU_PI),
+            (ScheduleKind.SIQUAD, 5.83 * TAU_PI),
+        ],
+        ids=["flat_pi", "faquad", "siquad"],
+    )
+    def test_two_level_maps_are_unitary_unpolished(self, monkeypatch, kind, duration):
+        # the fig2b_amplitude protocols at 50 000 steps, couplings scaled by
+        # the ends and the middle of its sweep
+        calls = polish_calls(monkeypatch)
+        a = np.concatenate([two_level_steps(kind, duration, 50_000, s) for s in (0.9, 1.0, 1.1)])
+        assert unitarity_defect(expm_small(a)) <= 8 * EPS
+        assert calls == []
+
+    def test_taylor_kernel_polishes_skew_hermitian_input(self, monkeypatch):
+        a = skew_hermitian_batch()
+        unitarize = propagator._unitarize
+        with monkeypatch.context() as m:
+            m.setattr(propagator, "_unitarize", lambda u: u)
+            unpolished = expm_small(a)
+        calls = polish_calls(monkeypatch)
+        taken, got = kernels_taken(monkeypatch, a)
+        assert taken == ["_expm_scaled_taylor"] and calls == [(50, 3, 3)]
+        assert np.array_equal(got, unitarize(unpolished))
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((2, 2), -0.05), ((0, 1), complex(5e-324, 0.0))],
+        ids=["decay", "one-ulp-from-skew-hermitian"],
+    )
+    def test_other_taylor_input_is_not_polished(self, monkeypatch, entry, value):
+        # a decay -gamma*dt on the diagonal, as for gamma > 0, or one entry
+        # one ulp off: the Taylor kernel's maps come back as they are
+        a = skew_hermitian_batch()
+        a[(0,) + entry] += value
+        rows = np.ascontiguousarray(np.moveaxis(a, 0, -1)).reshape(9, -1)
+        symmetric = bool(np.array_equal(a, np.swapaxes(a, 1, 2)))
+        expected = from_entry_rows(propagator._expm_scaled_taylor(rows, symmetric).reshape(3, 3, -1))
+        calls = polish_calls(monkeypatch)
+        taken, got = kernels_taken(monkeypatch, a)
+        assert taken == ["_expm_scaled_taylor"] and calls == []
+        assert np.array_equal(got, expected)
+
+    def test_taylor_path_lambda_run_keeps_norm(self, monkeypatch, lambda_params_no_decay):
+        # a gamma = 0 Lambda run forced onto the Taylor kernel.  Unpolished,
+        # its maps' unitarity defects add up to |psi|^2 = 1 + 3.5e-8 at
+        # 20 000 steps, and evolve raises
+        monkeypatch.setattr(propagator, "_last_entry_dominates", lambda rows: False)
+        calls = polish_calls(monkeypatch)
+        run = RunSpec(lambda_params_no_decay, delta_m=DELTA_M, steps=20_000)
+        result = run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3)
+        assert calls == [(20_000, 3, 3)]
+        assert result.final_norm_sq <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "params, duration",
+        [("two_level_params", 5.83 * TAU_PI), ("lambda_params_no_decay", 2.85e-3)],
+        ids=["2x2", "lambda"],
+    )
+    def test_model_runs_take_no_polish(self, monkeypatch, request, params, duration):
+        calls = polish_calls(monkeypatch)
+        run = RunSpec(request.getfixturevalue(params), delta_m=DELTA_M, steps=propagator._CHUNK + 1)
+        result = run_protocol(run, ScheduleKind.SIQUAD, duration)
+        assert calls == []
+        assert abs(result.final_norm_sq - 1.0) <= 1e-9
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_unitarize_block_boundary_is_bitwise_invisible(dim):
     u = random_maps(dim, propagator._BLOCK + 3, unitary=False, seed=dim)
@@ -614,7 +734,7 @@ class TestEvolveWithDecay:
     def test_growth_aborts(self):
         class GrowingModel:
             dim = 2
-            gamma = 1.0  # skips the unitary projection
+            gamma = 1.0  # H is not Hermitian: time reversal is refused
 
             def hamiltonian_batch(self, delta, omega_p, omega_s):
                 h = np.zeros((delta.shape[0], 2, 2), dtype=complex)
