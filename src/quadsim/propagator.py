@@ -28,7 +28,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +38,9 @@ from .schedules import PulseSchedule
 _CHUNK = 65536
 _NORM_ABORT = 1e-6
 # matrices per structure-of-arrays block of the Taylor kernel.  A 3x3 block is
-# 295 KB (197 KB packed symmetric), so the block, its powers and the partial
-# sum stay in cache; on a 2-core Xeon (2 MB L2 per core) 2048 and 4096 timed
-# within 10 % of each other, 512 and 16384 about 50 % slower
+# 295 KB, so the block, its powers and the partial sum stay in cache; on a
+# 2-core Xeon (2 MB L2 per core) 2048 and 4096 timed within 10 % of each
+# other, 512 and 16384 about 50 % slower
 _BLOCK = 2048
 _INV_FACT = [1.0 / math.factorial(j) for j in range(17)]
 # rows per rendered CSV block: 1024 rows of 11 values keep the renderer's
@@ -123,22 +122,18 @@ def expm_small(a: np.ndarray) -> np.ndarray:
     exp(A) = T diag(exp(R), e^lambda) T^-1 with R = B - c x^T, whose
     exponential is the 2x2 closed form above, and T^-1 = diag(I - x x^T/s,
     1/s) T^T, s = 1 + x^T x (the block Schur-Parlett idea).  Each stored
-    entry (i <= j) is written to (i, j) and (j, i).
+    entry (i <= j) is written to (i, j) and (j, i), so the result is exactly
+    symmetric.
 
     Scaling and squaring, for every other batch: the batch is scaled by one
     power of two so every Frobenius norm is <= 0.5, the degree-16 Taylor
     polynomial is evaluated by Paterson-Stockmeyer and the result squared
-    back, all as elementwise products over (entries, batch) rows.  When every
-    matrix of the batch is exactly complex symmetric, so is every power,
-    partial sum and square, and a block holds only the n(n+1)/2 entries with
-    i <= j: a 3x3 product then takes 18 multiply-adds instead of 27, and a
-    square 12 multiplies (z_ii = sum_k x_ik^2 from one square per stored
-    entry, z_ij = x_ij (x_ii + x_jj) + x_ik x_kj).  Each stored entry is
-    written back to (i, j) and (j, i), so the result is exactly symmetric.
-    Any other batch uses all n*n entries.  The squarings leave a unitarity
-    defect of ~1e-12 per map, so an exactly skew-Hermitian batch (A^H = -A:
-    -i*H*dt for real symmetric H, gamma = 0) then takes one Newton step
-    toward the polar factor (_unitarize).  The exact kernels above need none.
+    back, all as elementwise products over the (n*n, batch) entry rows.  It
+    keeps complex symmetric input symmetric to rounding, not bitwise.  The
+    squarings leave a unitarity defect of ~1e-12 per map, so an exactly
+    skew-Hermitian batch (A^H = -A: -i*H*dt for real symmetric H, gamma = 0)
+    then takes one Newton step toward the polar factor (_unitarize).  The
+    exact kernels above need none.
 
     Accurate to ~1e-12 relative in Frobenius norm for finite input.  The
     result may be a view onto entry-row storage (core_model.from_entry_rows).
@@ -161,7 +156,7 @@ def expm_small(a: np.ndarray) -> np.ndarray:
     )
     if symmetric and n == 3 and _last_entry_dominates(rows):
         return from_entry_rows(_expm_decoupled(rows).reshape(n, n, -1)).reshape(a.shape)
-    u = from_entry_rows(_expm_scaled_taylor(rows, symmetric).reshape(n, n, -1))
+    u = from_entry_rows(_expm_scaled_taylor(rows).reshape(n, n, -1))
     skew = all(
         np.array_equal(rows[i * n + j], -np.conj(rows[j * n + i]))
         for i in range(n)
@@ -243,50 +238,16 @@ def _expm_decoupled(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Layout(NamedTuple):
-    """A batch of n x n matrices stored as rows of an (entries, batch) array.
-
-    The full layout stores all n*n entries row-major; the symmetric layout
-    stores the upper triangle (i <= j) once, for matrices with M^T = M."""
-
-    source: list  # flat position i*n + j of each stored entry
-    expand: list  # stored row of each flat position i*n + j
-    diag: list  # stored rows of the diagonal
-    terms: tuple  # per stored entry (i, j): the (row of x, row of y) of x_ik y_kj
-    # symmetric layout only, per stored entry (i, j) of x @ x for x = x^T:
-    # on the diagonal (None, rows of the x_ik^2 in order of k); off it
-    # ((rows of x_ii, x_jj), (row, row) of x_ik x_kj for each k != i, j)
-    square: tuple | None
-
-
 @functools.lru_cache(maxsize=None)
-def _layout(n: int, symmetric: bool) -> _Layout:
-    pairs = [(i, j) for i in range(n) for j in range(n) if i <= j or not symmetric]
-    rows = {pair: r for r, pair in enumerate(pairs)}
-
-    def row(i: int, j: int) -> int:
-        return rows[min(i, j), max(i, j)] if symmetric else rows[i, j]
-
-    def square(i: int, j: int) -> tuple:
-        if i == j:
-            return None, tuple(row(i, k) for k in range(n))
-        rest = tuple((row(i, k), row(k, j)) for k in range(n) if k not in (i, j))
-        return (row(i, i), row(j, j)), rest
-
-    expand = [row(i, j) for i in range(n) for j in range(n)]
-    return _Layout(
-        source=[i * n + j for i, j in pairs],
-        expand=expand,
-        diag=[row(i, i) for i in range(n)],
-        terms=tuple(tuple((row(i, k), row(k, j)) for k in range(n)) for i, j in pairs),
-        square=tuple(square(i, j) for i, j in pairs) if symmetric else None,
+def _terms(n: int) -> tuple:
+    # per entry (i, j) of an n x n product, the (row of x, row of y) of x_ik y_kj
+    return tuple(
+        tuple((i * n + k, k * n + j) for k in range(n)) for i in range(n) for j in range(n)
     )
 
 
-def _expm_scaled_taylor(rows: np.ndarray, symmetric: bool) -> np.ndarray:
+def _expm_scaled_taylor(rows: np.ndarray) -> np.ndarray:
     # exp of the (n*n, batch) entry rows to (n*n, batch) rows (see expm_small)
-    n = math.isqrt(rows.shape[0])
-    layout = _layout(n, symmetric)
     # squared Frobenius norms without a batch-sized complex temporary
     sq = np.einsum("ib,ib->b", rows.real, rows.real)
     sq += np.einsum("ib,ib->b", rows.imag, rows.imag)
@@ -295,68 +256,39 @@ def _expm_scaled_taylor(rows: np.ndarray, symmetric: bool) -> np.ndarray:
     scale = 2.0**-k
     out = np.empty(rows.shape, dtype=complex)
     for lo in range(0, rows.shape[-1], _BLOCK):
-        # gathering per block keeps the stored rows cache-sized
-        b = rows[layout.source, lo : lo + _BLOCK]
-        b *= scale
-        p = _taylor16(b, layout)
+        p = _taylor16(scale * rows[:, lo : lo + _BLOCK])
         for _ in range(k):
-            p = _square(p, layout)
-        for dest, row in zip(out, layout.expand):
-            dest[lo : lo + _BLOCK] = p[row]
+            p = _mul(p, p)
+        out[:, lo : lo + _BLOCK] = p
     return out
 
 
-def _taylor16(b: np.ndarray, layout: _Layout) -> np.ndarray:
+def _taylor16(b: np.ndarray) -> np.ndarray:
     # sum_{j<=16} b^j/j! as Q0 + b4 (Q1 + b4 (Q2 + b4 (Q3 + b4/16!))), where
     # Qi = sum_{r<4} b^(4i+r)/(4i+r)!: 6 products instead of Horner's 15
-    b2 = _square(b, layout)
-    b4 = _square(b2, layout)
-    powers = (b, b2, _mul(b2, b, layout))
+    b2 = _mul(b, b)
+    b4 = _mul(b2, b2)
+    powers = (b, b2, _mul(b2, b))
+    n = math.isqrt(len(b))
     p = _INV_FACT[16] * b4
     for i in (3, 2, 1, 0):
         for r, power in enumerate(powers, start=1):
             p += _INV_FACT[4 * i + r] * power
-        p[layout.diag] += _INV_FACT[4 * i]
+        p[:: n + 1] += _INV_FACT[4 * i]
         if i:
-            p = _mul(b4, p, layout)
+            p = _mul(b4, p)
     return p
 
 
-def _mul(x: np.ndarray, y: np.ndarray, layout: _Layout) -> np.ndarray:
-    # x @ y for matrices stored as (entries, batch) rows; each entry's terms
-    # are added in order of k.  On the symmetric layout this is the product
-    # only when x @ y is symmetric, as for any two polynomials in one
-    # symmetric matrix
-    out = np.empty((len(layout.terms), x.shape[-1]), dtype=complex)
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x @ y for n x n matrices stored as (n*n, batch) entry rows; each
+    # entry's terms are added in order of k
+    out = np.empty(x.shape, dtype=complex)
     tmp = np.empty(x.shape[-1], dtype=complex)
-    for row, ((l, r), *rest) in zip(out, layout.terms):
+    for row, ((l, r), *rest) in zip(out, _terms(math.isqrt(len(x)))):
         np.multiply(x[l], y[r], out=row)
         for l, r in rest:
             row += np.multiply(x[l], y[r], out=tmp)
-    return out
-
-
-def _square(x: np.ndarray, layout: _Layout) -> np.ndarray:
-    # x @ x.  On the symmetric layout (x = x^T) the diagonal adds the squares
-    # of the stored entries in order of k, as _mul does, and an off-diagonal
-    # entry takes x_ij (x_ii + x_jj) + the other terms: 12 multiplies for 3x3
-    # instead of 18, the sum regrouped at rounding level
-    if layout.square is None:
-        return _mul(x, x, layout)
-    sq = x * x
-    out = np.empty_like(x)
-    tmp = np.empty(x.shape[-1], dtype=complex)
-    for own, (row, (ends, terms)) in enumerate(zip(out, layout.square)):
-        if ends is None:
-            first, second, *rest = terms
-            np.add(sq[first], sq[second], out=row)
-            for r in rest:
-                row += sq[r]
-        else:
-            np.add(x[ends[0]], x[ends[1]], out=row)
-            row *= x[own]
-            for l, r in terms:
-                row += np.multiply(x[l], x[r], out=tmp)
     return out
 
 
@@ -366,17 +298,16 @@ def _unitarize(u: np.ndarray) -> np.ndarray:
     # rounding level, so norm drift stays ~N*eps even at 1e6 steps.
     # Taken in _BLOCK columns, so the adjoint and correction stay in cache
     n = u.shape[-1]
-    layout = _layout(n, False)
     rows = to_entry_rows(u).reshape(n * n, -1)
     adjoint = [j * n + i for i in range(n) for j in range(n)]  # row of x_ji
     out = np.empty_like(rows)
     for lo in range(0, rows.shape[-1], _BLOCK):
         x = rows[:, lo : lo + _BLOCK]
         x_h = x[adjoint]
-        corr = _mul(np.conj(x_h, out=x_h), x, layout)
+        corr = _mul(np.conj(x_h, out=x_h), x)
         corr *= -0.5
-        corr[layout.diag] += 1.5
-        out[:, lo : lo + _BLOCK] = _mul(x, corr, layout)
+        corr[:: n + 1] += 1.5
+        out[:, lo : lo + _BLOCK] = _mul(x, corr)
     return from_entry_rows(out.reshape(n, n, -1))
 
 
@@ -388,13 +319,12 @@ def _chain_apply(u: np.ndarray, psi: np.ndarray, every: bool = False) -> np.ndar
     member 2j of level l takes column 2j*2**l of `states` to (2j+1)*2**l,
     where column k + 1 is the state after map k; the rest came from above."""
     n = u.shape[-1]
-    layout = _layout(n, False)
     levels = [to_entry_rows(u).reshape(n * n, -1)]
     while levels[-1].shape[-1] > 1:
         m = levels[-1] if every else levels.pop()  # only the down-sweep needs them
         count = m.shape[-1]
         even = (count // 2) * 2
-        paired = _mul(m[:, 1:even:2], m[:, 0:even:2], layout)
+        paired = _mul(m[:, 1:even:2], m[:, 0:even:2])
         levels.append(np.concatenate([paired, m[:, -1:]], axis=-1) if count % 2 else paired)
     states = np.empty((n, levels[0].shape[-1] + 1 if every else 2), dtype=complex)
     states[:, 0] = psi

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from quadsim import (
+    Axis,
     EvolveRequest,
     EvolveResult,
     IntegrationError,
@@ -21,15 +22,18 @@ from quadsim import (
     QuantumState,
     RunSpec,
     ScheduleKind,
+    SweepSpec,
     convergence_probe,
     evolve,
     expm_small,
     make_model,
     make_schedule,
     run_protocol,
+    run_sweep,
     write_trajectory_csv,
 )
 from quadsim import propagator
+from quadsim.config import load_config, preset_names
 from quadsim.core_model import from_entry_rows
 
 from conftest import DELTA_BIG, DELTA_M, GAMMA, OMEGA0, OMEGA_M, TAU_PI
@@ -155,25 +159,19 @@ class TestExpmSmall:
         assert np.linalg.norm(got - expected) < 1e-12 * np.linalg.norm(expected)
 
     def test_symmetric_input_gives_bitwise_symmetric_output(self):
-        batch = np.stack([random_symmetric(seed) for seed in range(5)] + [lambda_step()])
-        got = expm_small(batch)
-        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+        # the exact kernels: the 2x2 closed form and the block-decoupled 3x3
+        two = np.stack([random_symmetric(seed)[:2, :2] for seed in range(5)])
+        for batch in (two, lambda_step()):
+            got = expm_small(batch)
+            assert np.array_equal(got, np.swapaxes(got, -1, -2))
 
-    def test_one_ulp_from_symmetric_takes_full_layout(self, monkeypatch):
-        a = random_symmetric(0)
-        b = a.copy()
-        b[0, 1] = complex(np.nextafter(a[0, 1].real, np.inf), a[0, 1].imag)
-        chosen = []
-        layout = propagator._layout
-
-        def spy(n, symmetric):
-            chosen.append(symmetric)
-            return layout(n, symmetric)
-
-        monkeypatch.setattr(propagator, "_layout", spy)
-        symmetric, full = expm_small(a), expm_small(b)
-        assert chosen == [True, False]
-        assert np.linalg.norm(full - symmetric) <= 1e-12 * np.linalg.norm(symmetric)
+    def test_taylor_output_is_symmetric_to_rounding(self, monkeypatch):
+        # the Taylor kernel multiplies all nine entries, so a symmetric
+        # input's exponential is symmetric only to rounding
+        taken, got = kernels_taken(monkeypatch, np.stack([random_symmetric(seed) for seed in range(200)]))
+        assert taken == ["_expm_scaled_taylor"]
+        asymmetry = np.linalg.norm(got - np.swapaxes(got, -1, -2), axis=(-2, -1))
+        assert np.all(asymmetry <= 4 * EPS * np.linalg.norm(got, axis=(-2, -1)))
 
     @pytest.mark.parametrize("dim", [3, 2], ids=["3x3", "2x2"])
     def test_scaling_path_large_norm(self, dim):
@@ -210,17 +208,10 @@ class TestExpmSmall:
     def test_block_boundary_is_bitwise_invisible(self):
         rng = np.random.default_rng(3)
         n = propagator._BLOCK + 3
-        batch = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
-        batch *= 7.0 / np.linalg.norm(batch, axis=(-2, -1))[:, None, None]
-        assert_block_boundary_invisible(batch)
-
-    def test_block_boundary_is_bitwise_invisible_on_symmetric_layout(self):
-        rng = np.random.default_rng(3)
-        n = propagator._BLOCK + 3
-        batch = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
-        batch = batch + np.swapaxes(batch, 1, 2)
-        batch *= 7.0 / np.linalg.norm(batch, axis=(-2, -1))[:, None, None]
-        assert_block_boundary_invisible(batch)
+        raw = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+        for batch in (raw, raw + np.swapaxes(raw, 1, 2)):
+            batch = batch * (7.0 / np.linalg.norm(batch, axis=(-2, -1))[:, None, None])
+            assert_block_boundary_invisible(batch)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
     def test_entry_major_storage_gives_bitwise_equal_result(self, symmetric):
@@ -231,23 +222,6 @@ class TestExpmSmall:
         entry_major = from_entry_rows(np.ascontiguousarray(np.moveaxis(batch, 0, -1)))
         assert np.array_equal(entry_major, batch)
         assert np.array_equal(expm_small(entry_major), expm_small(batch))
-
-    def test_symmetric_square_matches_product(self):
-        # random symmetric matrices, Lambda steps at every scale from 2.4e3
-        # down to the Taylor range, and the exponentials of those, which are
-        # the matrices the squarings take
-        steps = lambda_step() * 2.0 ** -np.arange(13.0)[:, None, None]
-        full = np.concatenate(
-            [[random_symmetric(seed) for seed in range(20)], steps, expm_small(steps)]
-        )
-        layout = propagator._layout(3, True)
-        x = np.moveaxis(full, 0, -1).reshape(9, -1)[layout.source]
-        square, product = propagator._square(x, layout), propagator._mul(x, x, layout)
-        # the diagonal adds the same products in the same order
-        assert np.array_equal(square[layout.diag], product[layout.diag])
-        diff = (square - product)[layout.expand]
-        scale = np.linalg.norm(full, axis=(1, 2)) ** 2
-        assert np.all(np.linalg.norm(diff, axis=0) <= 1e-15 * scale)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(1)
@@ -266,8 +240,9 @@ class TestExpmSmall:
             expm_small(np.array([[np.inf, 0], [0, 0]]))
 
 
-def kernels_taken(monkeypatch, a: np.ndarray) -> tuple[list, np.ndarray]:
-    """The 3x3 kernels expm_small runs on `a`, in call order, and its result."""
+def spy_kernels(monkeypatch) -> list:
+    """The names of the 3x3 kernels expm_small runs from now on, in call
+    order; the kernels themselves still run."""
     taken = []
     for name in ("_expm_decoupled", "_expm_scaled_taylor"):
 
@@ -276,6 +251,12 @@ def kernels_taken(monkeypatch, a: np.ndarray) -> tuple[list, np.ndarray]:
             return kernel(*args)
 
         monkeypatch.setattr(propagator, name, spy)
+    return taken
+
+
+def kernels_taken(monkeypatch, a: np.ndarray) -> tuple[list, np.ndarray]:
+    """The 3x3 kernels expm_small runs on `a`, in call order, and its result."""
+    taken = spy_kernels(monkeypatch)
     return taken, expm_small(a)
 
 
@@ -455,8 +436,7 @@ class TestUnitarityPolish:
         a = skew_hermitian_batch()
         a[(0,) + entry] += value
         rows = np.ascontiguousarray(np.moveaxis(a, 0, -1)).reshape(9, -1)
-        symmetric = bool(np.array_equal(a, np.swapaxes(a, 1, 2)))
-        expected = from_entry_rows(propagator._expm_scaled_taylor(rows, symmetric).reshape(3, 3, -1))
+        expected = from_entry_rows(propagator._expm_scaled_taylor(rows).reshape(3, 3, -1))
         calls = polish_calls(monkeypatch)
         taken, got = kernels_taken(monkeypatch, a)
         assert taken == ["_expm_scaled_taylor"] and calls == []
@@ -630,8 +610,11 @@ def decay_params(gamma: float) -> LambdaParams:
     )
 
 
-def toy_lambda_request(gamma=2 * math.pi * 0.3e6, steps=20000, **kwargs):
-    # small detunings so the dynamics is smooth at modest step counts
+def toy_lambda_request(
+    gamma=2 * math.pi * 0.3e6, steps=20000, protocol=ScheduleKind.FLAT_PI, **kwargs
+):
+    # small detunings so the dynamics is smooth at modest step counts; a
+    # sweep protocol sweeps the two-photon detuning across +-1 MHz
     params = LambdaParams(
         omega_p0=2 * math.pi * 1e6,
         omega_s0=2 * math.pi * 1e6,
@@ -639,7 +622,7 @@ def toy_lambda_request(gamma=2 * math.pi * 0.3e6, steps=20000, **kwargs):
         gamma=gamma,
     )
     model = make_model(params)
-    schedule = make_schedule(params, ScheduleKind.FLAT_PI, 2e-6)
+    schedule = make_schedule(params, protocol, 2e-6, delta_m=2 * math.pi * 1e6)
     return EvolveRequest(
         model=model,
         schedule=schedule,
@@ -647,6 +630,36 @@ def toy_lambda_request(gamma=2 * math.pi * 0.3e6, steps=20000, **kwargs):
         steps=steps,
         **kwargs,
     )
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2 * math.pi * 0.3e6], ids=["no-decay", "decay"])
+@pytest.mark.parametrize("protocol", [ScheduleKind.FLAT_PI, ScheduleKind.SIQUAD], ids=["flat_pi", "siquad"])
+def test_taylor_path_lambda_run_matches_rk4(monkeypatch, protocol, gamma):
+    # Delta = 3 Omega does not dominate the couplings, so every step takes
+    # the Taylor kernel; the toy dynamics is slow enough for RK4
+    req = toy_lambda_request(gamma, steps=200_000, protocol=protocol)
+    taken = spy_kernels(monkeypatch)
+    expm = evolve(req).populations
+    assert taken and set(taken) == {"_expm_scaled_taylor"}
+    rk4 = evolve(replace(req, steps=20_000, method=Method.RK4)).populations
+    assert np.max(np.abs(expm - rk4)) <= 1e-9
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_presets_never_take_taylor_kernel(monkeypatch, preset):
+    # the dominance test compares |a02| + |a12| with the gap, both scaled by
+    # dt, so 2000 steps pick the same kernel as the preset's own count.  The
+    # ends and middle of every window are run; a preset without durations
+    # runs only its duration sweep
+    config = load_config(preset)
+    run = replace(config.run, steps=2000)
+    monkeypatch.delenv("QUAD_WORKERS", raising=False)
+    taken = spy_kernels(monkeypatch)
+    for window in (config.sweep.window, *config.compare):
+        if window.axis is Axis.DURATION or run.durations:
+            run_sweep(SweepSpec(run, replace(window, points=3)))
+    lambda_preset = isinstance(run.params, LambdaParams)
+    assert set(taken) == ({"_expm_decoupled"} if lambda_preset else set())
 
 
 class AosLambdaModel(LambdaModel):
@@ -888,8 +901,8 @@ def peak_in_chunks(run: RunSpec, **kwargs) -> float:
 @pytest.mark.parametrize("steps", [propagator._CHUNK, 2 * propagator._CHUNK])
 def test_lambda_chunk_peak_memory(lambda_params, steps):
     # one chunk of step maps is the unit: the step exponential holds its input
-    # and output plus cache-sized blocks, and a packed copy of the whole chunk,
-    # or the previous chunk's maps kept alive, would cross the bound
+    # and output plus cache-sized blocks, and a copy of the whole chunk, or
+    # the previous chunk's maps kept alive, would cross the bound
     run = RunSpec(lambda_params, delta_m=DELTA_M, steps=steps)
     assert peak_in_chunks(run) <= 2.6
 
