@@ -7,12 +7,19 @@ was designed for the nominal gap); a detuning-offset point adds a constant to
 delta(t), leaving the one-photon detuning untouched; a duration point rebuilds
 the schedule at that total time.
 
-Axis points are independent tasks.  Set QUAD_WORKERS > 1 to run them in a
-process pool of min(QUAD_WORKERS, usable CPUs, number of tasks) workers, where
-the usable CPUs are those of the process's affinity mask (os.cpu_count() on a
-platform without one); a value that is not an integer >= 1 is rejected.
-Results are assembled in axis order either way, so output is identical for
-any worker count.
+Every axis point is one call of run_protocol, and its key is that call's
+exact arguments: protocol, duration, amplitude scale, amplitude offset and
+detuning offset.  A sweep, or a comparison across all its windows, runs each
+distinct key once from one task list, so the nominal point that the amplitude
+and detuning windows share is run once; evolve is deterministic, so every row
+that shares a key gets the bit-identical result.  Set QUAD_WORKERS > 1 to run
+the task list in a process pool of min(QUAD_WORKERS, usable CPUs, number of
+tasks) workers, where the usable CPUs are those of the process's affinity
+mask (os.cpu_count() on a platform without one); a value that is not an
+integer >= 1 is rejected.  Results are assembled in axis order either way, so
+output is identical for any worker count.  A result's metadata["wall_time_s"]
+is the time of the whole task list it came from; a comparison's windows share
+theirs.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import transfer_metrics
+from .analysis import TransferMetrics, transfer_metrics
 from .core_model import (
     LambdaModel,
     LambdaParams,
@@ -184,15 +191,6 @@ class AxisWindow:
             if self.lo <= 0 or self.hi > 2:
                 raise ValueError("multiplicative amplitude range must lie in (0, 2]")
 
-    def nominal(self, amplitude_mode: AmplitudeMode) -> float | None:
-        """The axis value that leaves the controls unperturbed (none on a
-        duration axis)."""
-        if self.axis is Axis.DURATION:
-            return None
-        if self.axis is Axis.AMPLITUDE_SCALE and amplitude_mode is AmplitudeMode.MULTIPLICATIVE:
-            return 1.0
-        return 0.0
-
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)
 
@@ -246,43 +244,31 @@ class SweepResult:
         return np.array([r.axis_value for r in self.rows if r.protocol == first])
 
 
-def _sweep_task(args) -> SweepRow:
-    spec, protocol, value = args
-    run, axis = spec.run, spec.window.axis
-    point = dict(
-        protocol=protocol.value,
-        scenario=run.scenario.value,
-        axis=axis.value,
-        axis_value=float(value),
-        method=run.method.value,
-    )
-    if axis is Axis.DURATION and value <= 0.0:
-        # zero-duration point on a DURATION scan: the exact limit is the
-        # identity map, so the state stays |1> and no transfer occurs
-        return SweepRow(
-            **point, duration=0.0, fidelity=0.0, error=1.0, final_norm_sq=1.0, steps=0
-        )
+# the exact run_protocol arguments after the run spec: protocol, duration,
+# amplitude_scale, amplitude_offset, detuning_offset
+RunKey = tuple[ScheduleKind, float, float, float, float]
+
+
+def _run_key(
+    run: RunSpec, protocol: ScheduleKind, axis: Axis | None = None, value: float = 0.0
+) -> RunKey:
+    """The key of one axis point, or of the unperturbed run when axis is None.
+    Equal keys give bit-identical runs."""
     multiplicative = run.amplitude_mode is AmplitudeMode.MULTIPLICATIVE
-    control = {
-        Axis.DURATION: "duration",
-        Axis.AMPLITUDE_SCALE: "amplitude_scale" if multiplicative else "amplitude_offset",
-        Axis.DETUNING_OFFSET: "detuning_offset",
-    }[axis]
+    duration = value if axis is Axis.DURATION else float(run.durations[protocol])
+    scale = value if axis is Axis.AMPLITUDE_SCALE and multiplicative else 1.0
+    offset = value if axis is Axis.AMPLITUDE_SCALE and not multiplicative else 0.0
+    detuning = value if axis is Axis.DETUNING_OFFSET else 0.0
+    return (protocol, duration, scale, offset, detuning)
+
+
+def _run_task(args) -> TransferMetrics:
+    run, key, point = args
     try:
-        result = run_protocol(run, protocol, **{control: float(value)})
+        result = run_protocol(run, *key)
     except (IntegrationError, ValueError) as exc:
-        raise SweepError(
-            f"sweep failed at protocol={protocol.value} {axis.value}={value}: {exc}"
-        ) from exc
-    metrics = transfer_metrics(result.final, TARGET_INDEX)
-    return SweepRow(
-        **point,
-        duration=float(value) if axis is Axis.DURATION else float(run.durations[protocol]),
-        fidelity=metrics.fidelity,
-        error=metrics.error,
-        final_norm_sq=metrics.final_norm_sq,
-        steps=run.resolved_steps,
-    )
+        raise SweepError(f"sweep failed at protocol={key[0].value} {point}: {exc}") from exc
+    return transfer_metrics(result.final, TARGET_INDEX)
 
 
 def worker_count() -> int:
@@ -306,21 +292,84 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run the full protocols x axis grid; rows are ordered protocol-major."""
-    grid = spec.window.grid()
-    tasks = [(spec, protocol, value) for protocol in spec.run.protocols for value in grid]
-    started = time.monotonic()
+def _map_tasks(fn, tasks: list) -> list:
+    """fn over tasks, in order; in a process pool of min(QUAD_WORKERS, usable
+    CPUs, tasks) workers when that is more than one."""
     workers = min(worker_count(), _usable_cpus(), len(tasks))
     if workers > 1:
         chunksize = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_task, tasks, chunksize=chunksize))
-    else:
-        rows = [_sweep_task(task) for task in tasks]
-    metadata = spec_metadata(spec)
-    metadata["wall_time_s"] = time.monotonic() - started
-    return SweepResult(rows=rows, metadata=metadata)
+            return list(pool.map(fn, tasks, chunksize=chunksize))
+    return [fn(task) for task in tasks]
+
+
+def _row(
+    spec: SweepSpec, protocol: ScheduleKind, value: float, metrics: TransferMetrics | None
+) -> SweepRow:
+    run, axis = spec.run, spec.window.axis
+    point = dict(
+        protocol=protocol.value,
+        scenario=run.scenario.value,
+        axis=axis.value,
+        axis_value=value,
+        method=run.method.value,
+    )
+    if metrics is None:
+        # zero-duration point on a DURATION scan: the exact limit is the
+        # identity map, so the state stays |1> and no transfer occurs
+        return SweepRow(
+            **point, duration=0.0, fidelity=0.0, error=1.0, final_norm_sq=1.0, steps=0
+        )
+    return SweepRow(
+        **point,
+        duration=value if axis is Axis.DURATION else float(run.durations[protocol]),
+        fidelity=metrics.fidelity,
+        error=metrics.error,
+        final_norm_sq=metrics.final_norm_sq,
+        steps=run.resolved_steps,
+    )
+
+
+def _run_windows(
+    specs: Sequence[SweepSpec], extra: Sequence[tuple[RunSpec, RunKey]] = ()
+) -> tuple[list[SweepResult], dict[RunKey, TransferMetrics]]:
+    """Run every distinct key of the specs' axis points, then of `extra`, once,
+    in one task list.  Fan the results back into one SweepResult per spec, rows
+    protocol-major in axis order; each one's wall_time_s is the time of the
+    whole task list."""
+    started = time.monotonic()
+    grids = []
+    tasks: dict[RunKey, tuple] = {}
+    for spec in specs:
+        axis = spec.window.axis
+        grid = []
+        for protocol in spec.run.protocols:
+            for value in spec.window.grid():
+                value = float(value)
+                key = None
+                if axis is not Axis.DURATION or value > 0.0:
+                    key = _run_key(spec.run, protocol, axis, value)
+                    tasks.setdefault(key, (spec.run, key, f"{axis.value}={value}"))
+                grid.append((protocol, value, key))
+        grids.append(grid)
+    for run, key in extra:
+        tasks.setdefault(key, (run, key, "nominal point"))
+    metrics = dict(zip(tasks, _map_tasks(_run_task, list(tasks.values()))))
+    wall_time_s = time.monotonic() - started
+    results = [
+        SweepResult(
+            rows=[_row(spec, p, value, metrics.get(key)) for p, value, key in grid],
+            metadata={**spec_metadata(spec), "wall_time_s": wall_time_s},
+        )
+        for spec, grid in zip(specs, grids)
+    ]
+    return results, metrics
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Run the full protocols x axis grid; rows are ordered protocol-major."""
+    (result,), _ = _run_windows([spec])
+    return result
 
 
 def spec_metadata(spec: SweepSpec) -> dict:
@@ -409,29 +458,21 @@ def compare_protocols(run: RunSpec, windows: Sequence[AxisWindow]) -> Comparison
     """Cross the run's protocols, in the order of run.durations, with error
     windows; summarize worst-case errors and pairwise dominance.
 
-    A protocol's on-axis fidelity is taken from the first window row whose
-    axis value is exactly that window's nominal value; the protocol is run
-    once more, unperturbed, only when no window samples it."""
+    All windows share one task list keyed by the exact run_protocol
+    arguments, so a run that several windows sample (the nominal point: scale
+    1 or offset 0) is made once.  A protocol's on-axis fidelity is the result
+    of its unperturbed key, which joins the list only when no window samples
+    it.  Each window's metadata["wall_time_s"] is the time of the whole list."""
     protocols = tuple(run.durations)
     run = replace(run, protocols=protocols)
-    runs = [(window, run_sweep(SweepSpec(run, window))) for window in windows]
+    specs = [SweepSpec(run, window) for window in windows]
+    nominal = {protocol: _run_key(run, protocol) for protocol in protocols}
+    results, metrics = _run_windows(specs, extra=[(run, key) for key in nominal.values()])
+    on_axis = {protocol: metrics[key].fidelity for protocol, key in nominal.items()}
     summaries: list[ProtocolSummary] = []
     dominance: list[DominanceRow] = []
 
-    on_axis: dict[ScheduleKind, float] = {}
-    for protocol in protocols:
-        sampled = [
-            row.fidelity
-            for window, result in runs
-            for row in result.rows
-            if row.protocol == protocol.value
-            and row.axis_value == window.nominal(run.amplitude_mode)
-        ]
-        if not sampled:
-            sampled = [transfer_metrics(run_protocol(run, protocol).final, TARGET_INDEX).fidelity]
-        on_axis[protocol] = sampled[0]
-
-    for window, result in runs:
+    for window, result in zip(windows, results):
         errors = {p: result.errors_for(p) for p in protocols}
         for protocol in protocols:
             summaries.append(
@@ -458,7 +499,7 @@ def compare_protocols(run: RunSpec, windows: Sequence[AxisWindow]) -> Comparison
                         dominates=frac >= DOMINANCE_THRESHOLD,
                     )
                 )
-    sweeps = {window.axis: result for window, result in runs}
+    sweeps = {window.axis: result for window, result in zip(windows, results)}
     return ComparisonResult(summaries=summaries, dominance=dominance, sweeps=sweeps)
 
 

@@ -440,11 +440,11 @@ out_dir = from_config
     assert (tmp_path / "from_config" / "run.metrics.csv").exists()
 
 
-def test_preset_resolution_through_cli(tmp_path, capsys, monkeypatch):
-    # preset names resolve without a file on disk; use the cheapest preset
-    # with overridden output location
-    code = main(["simulate", "--config", "fig2b_amplitude", "--out", str(tmp_path)])
-    # fig2b has three protocols, so simulate must refuse cleanly
+@pytest.mark.parametrize("preset", preset_names())
+def test_preset_resolution_through_cli(tmp_path, capsys, preset):
+    # preset names resolve without a file on disk; every preset names two or
+    # three protocols for sweep and compare, so simulate must refuse cleanly
+    code = main(["simulate", "--config", preset, "--out", str(tmp_path)])
     assert code == 1
     assert "exactly one protocol" in capsys.readouterr().err
 

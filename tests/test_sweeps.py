@@ -266,9 +266,27 @@ class TestSweepCsv:
         assert float(fields[3]) == 0.9
 
 
+def counting_evolve(monkeypatch) -> list:
+    """Record every EvolveRequest that sweeps hands to evolve."""
+    monkeypatch.delenv("QUAD_WORKERS", raising=False)
+    calls = []
+    evolve = sweeps.evolve
+
+    def counting(req):
+        calls.append(req)
+        return evolve(req)
+
+    monkeypatch.setattr(sweeps, "evolve", counting)
+    return calls
+
+
+def direct_fidelity(run, protocol, **controls) -> float:
+    return transfer_metrics(run_protocol(run, protocol, **controls).final, 1).fidelity
+
+
 class TestCompareProtocols:
     # 3 points sample the nominal scale 1.0; 4 points miss it, so the
-    # on-axis value comes from a separate nominal run
+    # on-axis value comes from the nominal key added to the task list
     @pytest.mark.parametrize("points", [3, 4])
     def test_single_protocol_degenerates_to_metrics(self, two_level_params, points):
         window = AxisWindow(Axis.AMPLITUDE_SCALE, 0.99, 1.01, points=points)
@@ -282,24 +300,16 @@ class TestCompareProtocols:
         assert result.summaries[0].on_axis_fidelity == transfer_metrics(direct.final, 1).fidelity
 
     def test_on_axis_reuses_nominal_rows(self, two_level_params, monkeypatch):
-        monkeypatch.delenv("QUAD_WORKERS", raising=False)
-        calls = []
-        evolve = sweeps.evolve
-
-        def counting_evolve(req):
-            calls.append(req)
-            return evolve(req)
-
-        monkeypatch.setattr(sweeps, "evolve", counting_evolve)
+        calls = counting_evolve(monkeypatch)
         windows = [
             AxisWindow(Axis.AMPLITUDE_SCALE, 0.9, 1.1, points=3),
             AxisWindow(Axis.DETUNING_OFFSET, -OMEGA_M, OMEGA_M, points=3),
         ]
         durations = {ScheduleKind.SIQUAD: T_SI, ScheduleKind.FLAT_PI: TAU_PI}
-        result = compare_protocols(
-            RunSpec(two_level_params, durations=durations, delta_m=DELTA_M, steps=2000), windows
-        )
-        assert len(calls) == 12  # 2 protocols x 2 windows x 3 points, no extra runs
+        run = RunSpec(two_level_params, durations=durations, delta_m=DELTA_M, steps=2000)
+        result = compare_protocols(run, windows)
+        # 2 protocols x (3 + 3 - 1) points: the windows share the nominal run
+        assert len(calls) == 10
         nominal = {Axis.AMPLITUDE_SCALE: 1.0, Axis.DETUNING_OFFSET: 0.0}
         for summary in result.summaries:
             axis = Axis(summary.axis)
@@ -308,7 +318,84 @@ class TestCompareProtocols:
                 for r in result.sweeps[axis].rows
                 if r.protocol == summary.protocol and r.axis_value == nominal[axis]
             ]
-            assert summary.on_axis_fidelity == row.fidelity
+            direct = direct_fidelity(run, ScheduleKind(summary.protocol))
+            assert row.fidelity == direct
+            assert summary.on_axis_fidelity == direct
+
+    def test_unsampled_nominal_runs_once(self, two_level_params, monkeypatch):
+        calls = counting_evolve(monkeypatch)
+        windows = [
+            AxisWindow(Axis.AMPLITUDE_SCALE, 0.9, 1.1, points=4),
+            AxisWindow(Axis.DETUNING_OFFSET, -OMEGA_M, OMEGA_M, points=4),
+        ]
+        durations = {ScheduleKind.SIQUAD: T_SI, ScheduleKind.FLAT_PI: TAU_PI}
+        run = RunSpec(two_level_params, durations=durations, delta_m=DELTA_M, steps=2000)
+        result = compare_protocols(run, windows)
+        made = list(calls)  # before the direct runs below add to calls
+        # no window samples the nominal point: one extra run per protocol
+        assert len(made) == 2 * (4 + 4) + 2
+        for summary in result.summaries:
+            protocol = ScheduleKind(summary.protocol)
+            unperturbed = [
+                req
+                for req in made
+                if req.schedule.kind is protocol
+                and (req.amplitude_scale, req.amplitude_offset, req.detuning_offset)
+                == (1.0, 0.0, 0.0)
+            ]
+            assert len(unperturbed) == 1
+            assert summary.on_axis_fidelity == direct_fidelity(run, protocol)
+
+    def test_equal_offsets_on_different_axes_stay_apart(self, two_level_params, monkeypatch):
+        calls = counting_evolve(monkeypatch)
+        shift = 0.05 * OMEGA_M
+        windows = [
+            AxisWindow(Axis.AMPLITUDE_SCALE, -shift, shift, points=3),
+            AxisWindow(Axis.DETUNING_OFFSET, -shift, shift, points=3),
+        ]
+        run = RunSpec(
+            two_level_params,
+            durations={ScheduleKind.FLAT_PI: TAU_PI},
+            steps=2000,
+            amplitude_mode=AmplitudeMode.ADDITIVE,
+        )
+        result = compare_protocols(run, windows)
+        # only the nominal points (offset 0 on both axes) merge
+        assert len(calls) == 3 + 3 - 1
+        controls = {(req.amplitude_offset, req.detuning_offset) for req in calls}
+        assert controls == {(-shift, 0.0), (0.0, 0.0), (shift, 0.0), (0.0, -shift), (0.0, shift)}
+        amplitude = result.sweeps[Axis.AMPLITUDE_SCALE].rows[2]
+        detuning = result.sweeps[Axis.DETUNING_OFFSET].rows[2]
+        assert amplitude.axis_value == detuning.axis_value == shift
+        assert amplitude.fidelity == direct_fidelity(run, ScheduleKind.FLAT_PI, amplitude_offset=shift)
+        assert detuning.fidelity == direct_fidelity(run, ScheduleKind.FLAT_PI, detuning_offset=shift)
+        assert amplitude.fidelity != detuning.fidelity
+
+    def test_parallel_equals_serial_in_one_pool(self, two_level_params, monkeypatch):
+        windows = [
+            AxisWindow(Axis.AMPLITUDE_SCALE, 0.9, 1.1, points=3),
+            AxisWindow(Axis.DETUNING_OFFSET, -OMEGA_M, OMEGA_M, points=4),
+        ]
+        durations = {ScheduleKind.SIQUAD: T_SI, ScheduleKind.FLAT_PI: TAU_PI}
+        run = RunSpec(two_level_params, durations=durations, delta_m=DELTA_M, steps=2000)
+        monkeypatch.delenv("QUAD_WORKERS", raising=False)
+        serial = compare_protocols(run, windows)
+        sizes = []
+
+        class RecordingPool(sweeps.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("QUAD_WORKERS", "2")
+        parallel = compare_protocols(run, windows)
+        assert sizes == [2]  # one pool for both windows
+        for axis in serial.sweeps:
+            assert parallel.sweeps[axis].rows == serial.sweeps[axis].rows
+        assert parallel.summaries == serial.summaries
+        assert parallel.dominance == serial.dominance
 
     def test_dominance_table_structure(self, two_level_params):
         # 41-point windows: the flat pulse only wins in a sliver around the
