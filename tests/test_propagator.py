@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -330,32 +332,71 @@ class TestDecoupledPath:
         assert_block_boundary_invisible(batch)
 
     @pytest.mark.parametrize(
-        "make",
+        "make, refused",
         [
-            pytest.param(lambda: np.zeros((3, 3)), id="zero"),
-            pytest.param(lambda: with_entry(lambda_step(), 2, 2, 0.0), id="a22-zero"),
+            pytest.param(lambda: np.zeros((3, 3)), False, id="zero"),
+            pytest.param(lambda: with_entry(lambda_step(), 2, 2, 0.0), False, id="a22-zero"),
             pytest.param(
                 lambda: with_entry(lambda_step(), 0, 2, one_ulp_smaller(lambda_step()[0, 2])),
+                False,
                 id="one-ulp-asymmetric",
             ),
             # dominant, but det(lambda I - B) ~ 1e-400 underflows
-            pytest.param(lambda: np.diag([0.0, 0.0, 1e-200]), id="gap-below-2^-500"),
-            # past the 2^500 guard on det(lambda I - B); the squarings overflow
-            pytest.param(
-                lambda: np.diag([0.0, 0.0, -1j * 2.0**501]),
-                id="last-entry-above-2^500",
-                marks=pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid"),
-            ),
+            pytest.param(lambda: np.diag([0.0, 0.0, 1e-200]), False, id="gap-below-2^-500"),
+            # past the 2^500 guard on det(lambda I - B), and past the Taylor
+            # kernel's norm bound too, which refuses it
+            pytest.param(lambda: np.diag([0.0, 0.0, -1j * 2.0**501]), True, id="last-entry-above-2^500"),
             # the last diagonal entry one ulp short of a coupling ratio of 2^-8
             pytest.param(
                 lambda: np.concatenate([lambda_sweep(4), [coupled_at_ratio(np.nextafter(258.0, 0.0))]]),
+                False,
                 id="one-matrix-ineligible",
             ),
         ],
     )
-    def test_ineligible_batches_take_taylor_kernel(self, monkeypatch, make):
-        taken, _ = kernels_taken(monkeypatch, make())
+    def test_ineligible_batches_take_taylor_kernel(self, monkeypatch, make, refused):
+        taken = spy_kernels(monkeypatch)
+        with pytest.raises(ValueError, match="Frobenius norm") if refused else contextlib.nullcontext():
+            expm_small(make())
         assert taken == ["_expm_scaled_taylor"]
+
+
+SWAP = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+
+
+class TestTaylorNormBound:
+    """The Taylor kernel's error grows as ~1e-16 ||A||, and far past its
+    bound the squarings returned zeros (the swap at 2^100 to 2^500), NaN
+    (diag(0, 0, -i 2^501)) or raised OverflowError (2^600).  It refuses any
+    batch past the bound instead."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            pytest.param(-1j * 2.0**100 * SWAP, id="swap-2^100"),
+            pytest.param(-1j * 2.0**500 * SWAP, id="swap-2^500"),
+            pytest.param(np.diag([0.0, 0.0, -1j * 2.0**501]), id="diag-2^501"),
+            pytest.param(-1j * 2.0**600 * SWAP, id="swap-2^600"),
+            pytest.param(-1j * 2.0**20 * SWAP, id="swap-2^20"),
+        ],
+    )
+    def test_refuses_batch_past_bound(self, monkeypatch, a):
+        taken = spy_kernels(monkeypatch)
+        norm = math.hypot(*np.abs(a.ravel()))
+        assert norm > propagator._TAYLOR_MAX_NORM
+        with pytest.raises(ValueError, match=re.escape(f"largest Frobenius norm {norm:.6g} exceeds")):
+            expm_small(np.stack([np.zeros((3, 3)), a]))
+        assert taken == ["_expm_scaled_taylor"]
+
+    @pytest.mark.parametrize("p", [13, 19])
+    def test_accepted_range_error_grows_with_norm(self, p):
+        # exp(-i x S) = cos(x) I - i sin(x) S for the swap S, as S^2 = I
+        x = 2.0**p
+        a = -1j * x * SWAP
+        assert np.linalg.norm(a) <= propagator._TAYLOR_MAX_NORM
+        expected = math.cos(x) * np.eye(3) - 1j * math.sin(x) * SWAP
+        error = np.linalg.norm(expm_small(a) - expected) / np.linalg.norm(expected)
+        assert error <= 2e-16 * np.linalg.norm(a)
 
 
 def polish_calls(monkeypatch) -> list:
@@ -459,7 +500,8 @@ class TestUnitarityPolish:
         calls = polish_calls(monkeypatch)
         run = RunSpec(lambda_params_no_decay, delta_m=DELTA_M, steps=20_000)
         result = run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3)
-        assert calls == [(20_000, 3, 3)]
+        block = propagator._BLOCK
+        assert calls == [(min(block, 20_000 - lo), 3, 3) for lo in range(0, 20_000, block)]
         assert result.final_norm_sq <= 1.0 + 1e-9
 
     @pytest.mark.parametrize(
@@ -639,6 +681,57 @@ def toy_lambda_request(
         steps=steps,
         **kwargs,
     )
+
+
+def lambda_request(gamma: float, steps: int) -> EvolveRequest:
+    # a SIQUAD run of the bundled Lambda scenario
+    params = LambdaParams(
+        omega_p0=OMEGA0, omega_s0=OMEGA0, delta_one_photon=DELTA_BIG, gamma=gamma
+    )
+    return EvolveRequest(
+        model=make_model(params),
+        schedule=make_schedule(params, ScheduleKind.SIQUAD, 2.85e-3, delta_m=DELTA_M),
+        initial=QuantumState.basis(3, 0),
+        steps=steps,
+    )
+
+
+@pytest.mark.parametrize(
+    "length", [propagator._BLOCK + 3, propagator._CHUNK + 1], ids=["block+3", "chunk+1"]
+)
+@pytest.mark.parametrize(
+    "make, kernels",
+    [
+        pytest.param(two_level_request, set(), id="2x2"),
+        pytest.param(functools.partial(two_level_request, time_reversed=True), set(), id="2x2-reversed"),
+        pytest.param(functools.partial(lambda_request, GAMMA), {"_expm_decoupled"}, id="lambda-decay"),
+        pytest.param(functools.partial(lambda_request, 0.0), {"_expm_decoupled"}, id="lambda"),
+        pytest.param(
+            functools.partial(toy_lambda_request, protocol=ScheduleKind.SIQUAD),
+            {"_expm_scaled_taylor"},
+            id="lambda-taylor",
+        ),
+    ],
+)
+def test_step_maps_match_whole_chunk_exponential(monkeypatch, make, kernels, length):
+    # a chunk that starts off step 0 and ends inside a block: the maps built
+    # block by block match the exponential of the whole chunk's -i H dt,
+    # bitwise for the 3x3 kernels.  numpy's SIMD loops round the tail of an
+    # array differently, so a 2x2 map entry may move by an ulp or two
+    lo = 5
+    req = make(steps=lo + length + 7)
+    dt = req.schedule.duration / req.steps
+    mid = (np.arange(lo, lo + length) + 0.5) * dt
+    expected = expm_small(-1j * dt * propagator._hamiltonian_chunk(req, mid))
+    taken = spy_kernels(monkeypatch)
+    got = propagator._step_maps(req, lo, lo + length)
+    assert set(taken) == kernels
+    # entry rows, which the product tree reads without a copy
+    assert got.shape == expected.shape and np.moveaxis(got, 0, -1).flags.c_contiguous
+    if req.model.dim == 3:
+        assert np.array_equal(got, expected)
+    else:
+        assert np.all(np.abs(got - expected) <= 2 * np.spacing(np.abs(expected)))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 2 * math.pi * 0.3e6], ids=["no-decay", "decay"])
@@ -894,17 +987,18 @@ class TestTrajectoryCsv:
             write_trajectory_csv(result, tmp_path / "x.csv")
 
 
-def peak_in_chunks(run: RunSpec, **kwargs) -> float:
+def peak_in_chunks(run: RunSpec, duration: float = 2.85e-3, **kwargs) -> float:
     """tracemalloc peak of a SIQUAD run_protocol (after one untraced warm-up),
-    in units of one chunk of (chunk, 3, 3) complex step maps."""
-    run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3, **kwargs)
+    in units of one chunk of (chunk, n, n) complex step maps."""
+    run_protocol(run, ScheduleKind.SIQUAD, duration, **kwargs)
     tracemalloc.start()
     try:
-        run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3, **kwargs)
+        run_protocol(run, ScheduleKind.SIQUAD, duration, **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (propagator._CHUNK * 9 * np.dtype(complex).itemsize)
+    n = make_model(run.params).dim
+    return peak / (propagator._CHUNK * n * n * np.dtype(complex).itemsize)
 
 
 @pytest.mark.parametrize("steps", [propagator._CHUNK, 2 * propagator._CHUNK])
@@ -914,6 +1008,15 @@ def test_lambda_chunk_peak_memory(lambda_params, steps):
     # the previous chunk's maps kept alive, would cross the bound
     run = RunSpec(lambda_params, delta_m=DELTA_M, steps=steps)
     assert peak_in_chunks(run) <= 2.6
+
+
+@pytest.mark.parametrize("steps", [propagator._CHUNK, 2 * propagator._CHUNK])
+def test_two_level_chunk_peak_memory(two_level_params, steps):
+    # the same unit and bound for (chunk, 2, 2) maps: they are built block by
+    # block into one chunk-sized array, so a chunk-sized Hamiltonian, -i H dt
+    # or closed-form temporary beside them would cross the bound
+    run = RunSpec(two_level_params, delta_m=DELTA_M, steps=steps)
+    assert peak_in_chunks(run, 5.83 * TAU_PI) <= 2.6
 
 
 def trajectory_csv_peak(rows: int) -> int:
