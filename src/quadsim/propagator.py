@@ -18,8 +18,9 @@ Two fixed-step methods:
                     (_step_maps), so a run without a stored trajectory
                     peaks at about 1.8 chunks of maps (tracemalloc).  One
                     pairwise product tree per chunk gives the final state
-                    and, for a stored trajectory, every state on the way;
-                    storing one changes no reported number.
+                    and, for a stored trajectory, every state on the way,
+                    written straight into the trajectory's storage; storing
+                    one changes no reported number.
     RK4             classical 4th-order on dpsi/dt = -i H(t) psi, kept for
                     cross-validation; it must resolve every phase in H, so it
                     is unsuitable for stiff three-level runs.
@@ -53,7 +54,21 @@ _BLOCK = 2048
 # ~1e-16 ||A||: measured 7.8e-13 at 2^13, 5e-11 at 2^19, 0.1 at 2^50; from
 # about 2^60 the squarings return garbage, zeros or NaN
 _TAYLOR_MAX_NORM = 2.0**20
-_INV_FACT = [1.0 / math.factorial(j) for j in range(17)]
+# to 1/24!: _series_degree reads 1/(2k+2)! up to k = 11, its degree at |q| = 4
+_INV_FACT = [1.0 / math.factorial(j) for j in range(25)]
+# largest |q| of a 2x2 batch that takes the power series (see expm_small).
+# Horner's rounding grows with the sum of the terms' moduli, cosh(sqrt |q|):
+# at |q| = 4 (degree 11) that is 3.8 and the maps are within 1.7 eps of
+# mpmath (the closed form 2.5 eps), while on a 2-core Xeon the series still
+# costs about 60 ns per matrix against the closed form's 110-140.  Each
+# series is truncated where its remainder bound is _SERIES_TOL = u/4
+_SERIES_MAX_Q = 4.0
+_SERIES_TOL = 2.0**-55
+# the series forms e^m apart from cosh(s), and e^m overflows past Re(m) =
+# 709.78.  Some entry of exp(A) is at least |e^m| / sqrt 2 (det exp(N) = 1),
+# so up to Re(m) = 710.13 exp(A) may still be finite: past 709 a batch keeps
+# the closed form as it was, whose e^(m+s) may stay finite where e^m does not
+_SERIES_MAX_RE_M = 709.0
 # rows per rendered CSV block: 1024 rows of 11 values keep the renderer's
 # float64 temporaries at 90 KB, in cache.  On a 2-core Xeon a 131 073-row
 # Lambda trajectory took 0.20 s to write, against 0.22 s with 4096 rows
@@ -107,12 +122,20 @@ class EvolveResult:
 def expm_small(a: np.ndarray) -> np.ndarray:
     """Matrix exponential for small dense matrices (batched over leading axes).
 
-    2x2 matrices use the exact closed form: with A = m*I + N, N traceless and
-    s^2 = n00^2 + n01*n10, exp(A) = e^m*(cosh(s)*I + sinh(s)/s*N).  It holds
-    for complex s, so for non-Hermitian A too, and needs no scaling.  Both
-    coefficients are formed from e^(m+s) and expm1(-2s) with Re(s) >= 0, so
-    they neither overflow where exp(A) is finite nor cancel as s -> 0; s = 0
-    (a nilpotent or scalar A) takes sinh(s)/s = 1.
+    2x2 matrices use the exact form: with A = m*I + N, N traceless and
+    q = s^2 = n00^2 + n01*n10, exp(A) = e^m*(cosh(s)*I + sinh(s)/s*N).  It
+    holds for complex s, so for non-Hermitian A too, and needs no scaling.
+    cosh(s) and sinh(s)/s are entire in q: a batch whose largest |q| is at
+    most _SERIES_MAX_Q = 4 takes both as power series in q, by Horner, of the
+    least degree k whose remainder bound |q|^(k+1)/(2k+2)! / (1 - |q|/((2k+3)
+    (2k+4))) at the batch's largest |q| is <= u/4 (2 at |q| = 4e-8, 3 at
+    1.5e-4, 9 at 1, 11 at 4): no sqrt, no expm1 and no division by s, and
+    only e^m is a complex exp.  So a map may change in its last bit with the
+    batch it sits in, as scaling and squaring's can.  A batch past that |q|,
+    or with Re(m) > 709, where e^m alone could overflow, takes the closed
+    form: both coefficients from e^(m+s) and expm1(-2s) with Re(s) >= 0, so
+    they do not cancel as s -> 0; s = 0 (a nilpotent or scalar A) takes
+    sinh(s)/s = 1.  Either way the maps are within a few eps of mpmath.
 
     3x3 batches are read as (entries, batch) rows, in place from the batch (a
     view for matrices stored entry-major, as the Lambda model builds them,
@@ -131,7 +154,7 @@ def expm_small(a: np.ndarray) -> np.ndarray:
     converge to rounding, each shrinking the error by the squared coupling
     ratio.  With x = (lambda I - B)^-1 c, T = [[I, x], [-x^T, 1]] splits A:
     exp(A) = T diag(exp(R), e^lambda) T^-1 with R = B - c x^T, whose
-    exponential is the 2x2 closed form above, and T^-1 = diag(I - x x^T/s,
+    exponential is the 2x2 form above, and T^-1 = diag(I - x x^T/s,
     1/s) T^T, s = 1 + x^T x (the block Schur-Parlett idea).  Each stored
     entry (i <= j) is written to (i, j) and (j, i), so the result is exactly
     symmetric.
@@ -184,20 +207,60 @@ def _expm_2x2(a00, a01, a10, a11) -> np.ndarray:
     # the entries 00, 01, 10, 11
     m = 0.5 * (a00 + a11)
     d = 0.5 * (a00 - a11)
-    s = np.sqrt(d * d + a01 * a10)
-    up = np.exp(m + s)
-    g = np.expm1(-2.0 * s)
-    cosh_m = up * (1.0 + 0.5 * g)  # e^m cosh(s)
-    sinhc_m = np.ones_like(s)  # e^m sinh(s)/s
-    np.divide(-0.5 * g, s, out=sinhc_m, where=s != 0)
-    sinhc_m *= up
+    q = d * d + a01 * a10
+    q_max = float(np.max(np.abs(q))) if q.size else 0.0
+    # written so that a NaN q_max (inf - inf in q) takes the closed form
+    if q_max <= _SERIES_MAX_Q and not np.any(m.real > _SERIES_MAX_RE_M):
+        cosh_m, sinhc_m = _cosh_sinhc_series(m, q, _series_degree(q_max))
+    else:
+        cosh_m, sinhc_m = _cosh_sinhc_closed(m, q)
     nd = sinhc_m * d
-    out = np.empty((4,) + np.shape(s), dtype=complex)
+    out = np.empty((4,) + np.shape(q), dtype=complex)
     np.add(cosh_m, nd, out=out[0, ...])
     np.multiply(sinhc_m, a01, out=out[1, ...])
     np.multiply(sinhc_m, a10, out=out[2, ...])
     np.subtract(cosh_m, nd, out=out[3, ...])
     return out
+
+
+def _series_degree(q_max: float) -> int:
+    # the least k whose remainder bound q^(k+1)/(2k+2)! / (1 - q/((2k+3)(2k+4)))
+    # is <= _SERIES_TOL: it bounds the tail of the cosh series past q^k, and
+    # the smaller tail of the sinh(s)/s series
+    k = 0
+    while q_max ** (k + 1) * _INV_FACT[2 * k + 2] > _SERIES_TOL * (
+        1.0 - q_max / ((2 * k + 3) * (2 * k + 4))
+    ):
+        k += 1
+    return k
+
+
+def _cosh_sinhc_series(m, q, degree: int):
+    # e^m cosh(s) and e^m sinh(s)/s with s^2 = q, as polynomials of the given
+    # degree in q by Horner: sum q^k/(2k)! and sum q^k/(2k+1)!
+    cosh = np.full_like(q, _INV_FACT[2 * degree])
+    sinhc = np.full_like(q, _INV_FACT[2 * degree + 1])
+    for k in reversed(range(degree)):
+        cosh *= q
+        cosh += _INV_FACT[2 * k]
+        sinhc *= q
+        sinhc += _INV_FACT[2 * k + 1]
+    em = np.exp(m)
+    cosh *= em
+    sinhc *= em
+    return cosh, sinhc
+
+
+def _cosh_sinhc_closed(m, q):
+    # e^m cosh(s) and e^m sinh(s)/s from e^(m+s) and expm1(-2s), Re(s) >= 0
+    s = np.sqrt(q)
+    up = np.exp(m + s)
+    g = np.expm1(-2.0 * s)
+    cosh = up * (1.0 + 0.5 * g)
+    sinhc = np.ones_like(s)
+    np.divide(-0.5 * g, s, out=sinhc, where=s != 0)
+    sinhc *= up
+    return cosh, sinhc
 
 
 def _last_entry_dominates(rows: np.ndarray) -> bool:
@@ -332,14 +395,17 @@ def _unitarize(u: np.ndarray) -> np.ndarray:
     return from_entry_rows(out.reshape(n, n, -1))
 
 
-def _chain_apply(u: np.ndarray, psi: np.ndarray, every: bool = False) -> np.ndarray:
-    """Rows U[k] @ ... @ U[0] @ psi: the last, or with `every` one per k.
+def _chain_apply(u: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows U[k] @ ... @ U[0] @ psi: the last, or with `out`, a (k + 2, n)
+    array, every one, written in place to out[1:] (and psi to out[0]) and
+    returned as that view.
 
     One pairwise tree, a Blelloch scan.  Up: level l + 1 multiplies pairs of
     level l and carries an odd last map; root @ psi is the last state.  Down:
     member 2j of level l takes column 2j*2**l of `states` to (2j+1)*2**l,
     where column k + 1 is the state after map k; the rest came from above."""
     n = u.shape[-1]
+    every = out is not None
     levels = [to_entry_rows(u).reshape(n * n, -1)]
     while levels[-1].shape[-1] > 1:
         m = levels[-1] if every else levels.pop()  # only the down-sweep needs them
@@ -347,7 +413,7 @@ def _chain_apply(u: np.ndarray, psi: np.ndarray, every: bool = False) -> np.ndar
         even = (count // 2) * 2
         paired = _mul(m[:, 1:even:2], m[:, 0:even:2])
         levels.append(np.concatenate([paired, m[:, -1:]], axis=-1) if count % 2 else paired)
-    states = np.empty((n, levels[0].shape[-1] + 1 if every else 2), dtype=complex)
+    states = out.T if every else np.empty((n, 2), dtype=complex)
     states[:, 0] = psi
     states[:, -1:] = _apply(levels[-1], states[:, :1])
     for l in reversed(range(len(levels) - 1)):
@@ -435,11 +501,10 @@ def evolve(req: EvolveRequest) -> EvolveResult:
         for lo in range(0, steps, _CHUNK):
             hi = min(lo + _CHUNK, steps)
             u = _step_maps(req, lo, hi)
-            states = _chain_apply(u, psi, req.store_trajectory)
-            if req.store_trajectory:
-                traj_states[lo + 1 : hi + 1] = states
-            psi = states[-1].copy()
-            del u, states  # freed before the next chunk's maps are built
+            # the trajectory's states are written straight into its storage
+            out = None if traj_states is None else traj_states[lo : hi + 1]
+            psi = _chain_apply(u, psi, out)[-1].copy()
+            del u  # freed before the next chunk's maps are built
             _check_state(psi)
     elif req.method is Method.RK4:
         half_grid = np.linspace(0.0, duration, 2 * steps + 1)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -297,6 +296,10 @@ def _map_tasks(fn, tasks: list) -> list:
     CPUs, tasks) workers when that is more than one."""
     workers = min(worker_count(), _usable_cpus(), len(tasks))
     if workers > 1:
+        # imported here: concurrent.futures.process loads multiprocessing,
+        # socket and logging, about 30 ms of every single-worker run's start
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunksize))

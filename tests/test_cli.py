@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import quadsim
 from quadsim import Axis, Method, ScheduleKind, angular
 from quadsim.cli import main
 from quadsim.config import ConfigError, load_config, load_config_text, parse_config_text, preset_names
@@ -511,3 +515,16 @@ def test_bad_worker_count_is_config_error(tmp_path, capsys, monkeypatch, raw):
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and "QUAD_WORKERS" in err
+
+
+def test_cli_import_loads_no_process_pool():
+    # a single-worker run starts no pool, so its start-up should not pay for
+    # importing multiprocessing (sweeps imports the pool only to make one)
+    src = os.path.dirname(os.path.dirname(quadsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, quadsim.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -278,6 +278,96 @@ def series_size(a: np.ndarray) -> tuple[int, int]:
     return int(2.8 * norm) + 60, int(0.45 * norm) + 50
 
 
+def spy_2x2(monkeypatch) -> list:
+    """How expm_small forms each 2x2 batch's e^m cosh(s) and e^m sinh(s)/s
+    from now on, in call order: ("series", degree) or ("closed", None)."""
+    taken = []
+    series, closed = propagator._cosh_sinhc_series, propagator._cosh_sinhc_closed
+
+    def spy_series(m, q, degree):
+        taken.append(("series", degree))
+        return series(m, q, degree)
+
+    def spy_closed(m, q):
+        taken.append(("closed", None))
+        return closed(m, q)
+
+    monkeypatch.setattr(propagator, "_cosh_sinhc_series", spy_series)
+    monkeypatch.setattr(propagator, "_cosh_sinhc_closed", spy_closed)
+    return taken
+
+
+def two_by_two(kind: str, q: float, seed: int) -> np.ndarray:
+    """A 2x2 matrix whose q = d^2 + a01 a10 has modulus q: skew-Hermitian
+    (-i H, H Hermitian), general complex, or decaying (-i H, H real
+    symmetric, with a damped second level)."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    if kind == "skew":
+        a = -0.5j * (z + z.conj().T)
+    elif kind == "general":
+        a = z
+    else:
+        a = -0.5j * (z.real + z.real.T) - np.diag([0.0, abs(rng.normal())])
+    m = 0.5 * (a[0, 0] + a[1, 1])
+    n = a - m * np.eye(2)
+    return m * np.eye(2) + n * math.sqrt(q / abs(n[0, 0] ** 2 + n[0, 1] * n[1, 0]))
+
+
+class TestSeries2x2:
+    """cosh(s) and sinh(s)/s as power series in q = s^2, truncated at a
+    remainder of u/4, for batches whose largest |q| is at most
+    _SERIES_MAX_Q; the closed form for the rest."""
+
+    @pytest.mark.parametrize("q", [0.0, 1e-12, 4e-8, 1.5e-4, 0.1, 1.0, 2.5, 3.99, 4.01, 6.0])
+    @pytest.mark.parametrize("kind", ["skew", "general", "decay"])
+    def test_matches_mpmath(self, monkeypatch, kind, q):
+        taken = spy_2x2(monkeypatch)
+        for seed in range(4):
+            a = two_by_two(kind, q, seed)
+            expected = mpmath_expm(a)
+            assert np.linalg.norm(expm_small(a) - expected) <= 4 * EPS * np.linalg.norm(expected)
+        path = "series" if q <= propagator._SERIES_MAX_Q else "closed"
+        assert {name for name, _ in taken} == {path}
+
+    def test_bound_picks_the_path(self, monkeypatch):
+        bound = propagator._SERIES_MAX_Q
+        below = np.stack([two_by_two("general", 0.99 * bound, seed) for seed in range(3)])
+        above = np.concatenate([below, [two_by_two("general", 1.01 * bound, 3)]])
+        taken = spy_2x2(monkeypatch)
+        expm_small(below)
+        expm_small(above)
+        assert taken == [("series", 11), ("closed", None)]
+
+    def test_large_real_part_of_m_keeps_closed_form(self, monkeypatch):
+        # e^m alone would overflow past Re(m) = 709.78, so the series is not
+        # taken above 709, whatever q is
+        n = two_by_two("skew", 1e-4, 0)
+        taken = spy_2x2(monkeypatch)
+        got = expm_small(np.stack([n, n + 709.5 * np.eye(2)]))
+        assert taken == [("closed", None)]
+        expected = mpmath_expm(n)
+        scaled = got[1] * np.exp(-709.5)
+        assert np.linalg.norm(scaled - expected) <= 4 * EPS * np.linalg.norm(expected)
+
+    def test_mixed_batch_takes_degree_of_largest_q(self, monkeypatch):
+        small = [two_by_two("skew", 4e-8, seed) for seed in range(40)]
+        large = two_by_two("skew", 1.0, 40)
+        taken = spy_2x2(monkeypatch)
+        expm_small(np.stack(small))
+        expm_small(large)
+        mixed = expm_small(np.stack(small[:20] + [large] + small[20:]))
+        assert taken == [("series", 2), ("series", 9), ("series", 9)]
+        expected = mpmath_expm(small[0])
+        assert np.linalg.norm(mixed[0] - expected) <= 4 * EPS * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "q, degree", [(0.0, 0), (1e-300, 0), (4e-8, 2), (1.5e-4, 3), (1.0, 9), (4.0, 11)]
+    )
+    def test_degree_rule(self, q, degree):
+        assert propagator._series_degree(q) == degree
+
+
 class TestDecoupledPath:
     """The exact block-decoupled kernel for complex-symmetric 3x3 batches
     with a dominant last diagonal entry, as every Lambda step has."""
@@ -552,8 +642,11 @@ class TestChainApply:
         u = random_maps(dim, count, unitary, seed=count)
         psi = np.arange(1, dim + 1) * (1.0 - 0.5j)
         expected = sequential_states(u, psi)
-        every = propagator._chain_apply(u, psi, every=True)
-        assert every.shape == (count, dim)
+        out = np.empty((count + 1, dim), dtype=complex)
+        every = propagator._chain_apply(u, psi, out)
+        # written in place: psi to row 0, the state after map k to row k + 1
+        assert every.shape == (count, dim) and np.shares_memory(every, out)
+        assert np.array_equal(out[0], psi) and np.array_equal(out[1:], every)
         err = np.linalg.norm(every - expected, axis=1)
         assert np.all(err <= 1e-13 * np.linalg.norm(expected, axis=1))
         assert np.array_equal(propagator._chain_apply(u, psi), every[-1:])
@@ -566,8 +659,8 @@ class TestChainApply:
             raise AssertionError("a single map needs no pairwise product")
 
         monkeypatch.setattr(propagator, "_mul", no_product)
-        for every in (False, True):
-            assert np.array_equal(propagator._chain_apply(u, psi, every), [u[0] @ psi])
+        for out in (None, np.empty((2, 3), dtype=complex)):
+            assert np.array_equal(propagator._chain_apply(u, psi, out), [u[0] @ psi])
 
 
 def two_level_request(
@@ -717,7 +810,8 @@ def test_step_maps_match_whole_chunk_exponential(monkeypatch, make, kernels, len
     # a chunk that starts off step 0 and ends inside a block: the maps built
     # block by block match the exponential of the whole chunk's -i H dt,
     # bitwise for the 3x3 kernels.  numpy's SIMD loops round the tail of an
-    # array differently, so a 2x2 map entry may move by an ulp or two
+    # array differently, and the 2x2 series takes its degree from each
+    # block's largest |q|, so a 2x2 map entry may move by an ulp or two
     lo = 5
     req = make(steps=lo + length + 7)
     dt = req.schedule.duration / req.steps
@@ -747,21 +841,48 @@ def test_taylor_path_lambda_run_matches_rk4(monkeypatch, protocol, gamma):
     assert np.max(np.abs(expm - rk4)) <= 1e-9
 
 
-@pytest.mark.parametrize("preset", preset_names())
-def test_presets_never_take_taylor_kernel(monkeypatch, preset):
-    # the dominance test compares |a02| + |a12| with the gap, both scaled by
-    # dt, so 2000 steps pick the same kernel as the preset's own count.  The
-    # ends and middle of every window are run; a preset without durations
-    # runs only its duration sweep
+def run_preset_windows(preset: str, steps: int | None = None) -> None:
+    # the ends and middle of every window of `preset` at `steps` (the
+    # preset's own count when None); a preset without durations runs only
+    # its duration sweep
     config = load_config(preset)
-    run = replace(config.run, steps=2000)
-    monkeypatch.delenv("QUAD_WORKERS", raising=False)
-    taken = spy_kernels(monkeypatch)
+    run = config.run if steps is None else replace(config.run, steps=steps)
     for window in (config.sweep.window, *config.compare):
         if window.axis is Axis.DURATION or run.durations:
             run_sweep(SweepSpec(run, replace(window, points=3)))
-    lambda_preset = isinstance(run.params, LambdaParams)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_presets_never_take_taylor_kernel(monkeypatch, preset):
+    # the dominance test compares |a02| + |a12| with the gap, both scaled by
+    # dt, so 2000 steps pick the same kernel as the preset's own count
+    monkeypatch.delenv("QUAD_WORKERS", raising=False)
+    taken = spy_kernels(monkeypatch)
+    run_preset_windows(preset, steps=2000)
+    lambda_preset = isinstance(load_config(preset).run.params, LambdaParams)
     assert set(taken) == ({"_expm_decoupled"} if lambda_preset else set())
+
+
+@pytest.mark.parametrize(
+    "preset, steps",
+    [
+        ("fig2a_time_scan", None),
+        ("fig2b_amplitude", None),
+        ("fig2c_detuning", None),
+        ("fig3_gamma_on_short", 73_728),
+        ("fig3_gamma_off_short", 131_072),
+    ],
+)
+def test_preset_2x2_blocks_take_series(monkeypatch, preset, steps):
+    # every two-level step block, and the R block of every Lambda step, at
+    # the two-level presets' own counts and at the step counts perfbench
+    # runs the Lambda presets with.  |q| shrinks as steps grow: the R
+    # blocks' largest |q| is 38 at 2000 steps, 1.1 at 73 728 and 0.39 at
+    # 131 072, so fewer steps would reach the closed form
+    monkeypatch.delenv("QUAD_WORKERS", raising=False)
+    taken = spy_2x2(monkeypatch)
+    run_preset_windows(preset, steps)
+    assert taken and {name for name, _ in taken} == {"series"}
 
 
 class AosLambdaModel(LambdaModel):

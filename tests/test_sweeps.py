@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
 
@@ -216,7 +217,7 @@ class TestRunSweep:
         monkeypatch.delenv("QUAD_WORKERS", raising=False)
         spec = two_level_spec(two_level_params, steps=200)  # 2 protocols x 5 points
         serial = run_sweep(spec).rows
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv("QUAD_WORKERS", "64")
         # without an affinity mask the cap is the cpu count
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -382,12 +383,12 @@ class TestCompareProtocols:
         serial = compare_protocols(run, windows)
         sizes = []
 
-        class RecordingPool(sweeps.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("QUAD_WORKERS", "2")
         parallel = compare_protocols(run, windows)
