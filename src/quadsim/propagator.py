@@ -22,8 +22,10 @@ Two fixed-step methods:
                     written straight into the trajectory's storage; storing
                     one changes no reported number.
     RK4             classical 4th-order on dpsi/dt = -i H(t) psi, kept for
-                    cross-validation; it must resolve every phase in H, so it
-                    is unsuitable for stiff three-level runs.
+                    cross-validation: one matrix per step, formed in the same
+                    blocks and applied by the same product tree.  It must
+                    resolve every phase in H, so it diverges (and aborts) on
+                    stiff three-level runs.
 
 Propagation is deterministic: identical requests give bit-identical results.
 """
@@ -69,6 +71,12 @@ _SERIES_TOL = 2.0**-55
 # so up to Re(m) = 710.13 exp(A) may still be finite: past 709 a batch keeps
 # the closed form as it was, whose e^(m+s) may stay finite where e^m does not
 _SERIES_MAX_RE_M = 709.0
+# past Re(m+s) = 700 the closed form's coefficients are scaled by 2^-32, as
+# they may overflow where exp(A) is finite (e^m sinh(s)/s = 0.9 e^710 for
+# A = 710 I + pi/4 [[0, 1], [-1, 0]]).  exp(A) is finite only up to Re(m+s) =
+# 710.48 (its spectral radius is at most twice its largest entry)
+_CLOSED_SCALE_RE = 700.0
+_CLOSED_SHIFT = 32
 # rows per rendered CSV block: 1024 rows of 11 values keep the renderer's
 # float64 temporaries at 90 KB, in cache.  On a 2-core Xeon a 131 073-row
 # Lambda trajectory took 0.20 s to write, against 0.22 s with 4096 rows
@@ -210,16 +218,19 @@ def _expm_2x2(a00, a01, a10, a11) -> np.ndarray:
     q = d * d + a01 * a10
     q_max = float(np.max(np.abs(q))) if q.size else 0.0
     # written so that a NaN q_max (inf - inf in q) takes the closed form
+    near = None
     if q_max <= _SERIES_MAX_Q and not np.any(m.real > _SERIES_MAX_RE_M):
         cosh_m, sinhc_m = _cosh_sinhc_series(m, q, _series_degree(q_max))
     else:
-        cosh_m, sinhc_m = _cosh_sinhc_closed(m, q)
+        cosh_m, sinhc_m, near = _cosh_sinhc_closed(m, q)
     nd = sinhc_m * d
     out = np.empty((4,) + np.shape(q), dtype=complex)
     np.add(cosh_m, nd, out=out[0, ...])
     np.multiply(sinhc_m, a01, out=out[1, ...])
     np.multiply(sinhc_m, a10, out=out[2, ...])
     np.subtract(cosh_m, nd, out=out[3, ...])
+    if near is not None:
+        out[:, near] = _ldexp(out[:, near], _CLOSED_SHIFT)
     return out
 
 
@@ -252,15 +263,35 @@ def _cosh_sinhc_series(m, q, degree: int):
 
 
 def _cosh_sinhc_closed(m, q):
-    # e^m cosh(s) and e^m sinh(s)/s from e^(m+s) and expm1(-2s), Re(s) >= 0
+    # e^m cosh(s) and e^m sinh(s)/s from e^(m+s) and expm1(-2s), Re(s) >= 0,
+    # and the mask of those scaled by 2^-_CLOSED_SHIFT (None if none is):
+    # exactly where e^(m+s) is finite, else as e^h (e^h 2^-shift), h = (m+s)/2
     s = np.sqrt(q)
-    up = np.exp(m + s)
+    ms = m + s
+    near = ms.real > _CLOSED_SCALE_RE
+    if np.any(near):
+        with np.errstate(over="ignore", invalid="ignore"):
+            up, half = np.exp(ms), np.exp(0.5 * ms)
+            scaled = np.where(
+                np.isfinite(up), _ldexp(up, -_CLOSED_SHIFT), half * _ldexp(half, -_CLOSED_SHIFT)
+            )
+        up = np.where(near, scaled, up)
+    else:
+        up, near = np.exp(ms), None
     g = np.expm1(-2.0 * s)
     cosh = up * (1.0 + 0.5 * g)
     sinhc = np.ones_like(s)
     np.divide(-0.5 * g, s, out=sinhc, where=s != 0)
     sinhc *= up
-    return cosh, sinhc
+    return cosh, sinhc, near
+
+
+def _ldexp(z, k: int) -> np.ndarray:
+    # z 2^k, exactly, part by part: a complex product would turn a zero's
+    # sign, and form inf * 0 = nan from an infinite part
+    out = np.empty(np.shape(z), dtype=complex)
+    out.real, out.imag = np.ldexp(np.real(z), k), np.ldexp(np.imag(z), k)
+    return out
 
 
 def _last_entry_dominates(rows: np.ndarray) -> bool:
@@ -447,37 +478,57 @@ def _controls(req: EvolveRequest, t: np.ndarray):
     return delta, scale * omega_p + shift, scale * omega_s + shift
 
 
-def _hamiltonian_chunk(req: EvolveRequest, t: np.ndarray) -> np.ndarray:
-    delta, omega_p, omega_s = _controls(req, t)
-    h = req.model.hamiltonian_batch(delta, omega_p, omega_s)
-    return -h if req.time_reversed else h
+def _rk4_step(a: np.ndarray) -> np.ndarray:
+    # k RK4 steps as matrices from the 2k + 1 half-step samples A = -i H dt
+    # (step j reads a[2j], a[2j + 1], a[2j + 2]): for a linear ODE the step
+    # is I + (K1 + 2 K2 + 2 K3 + K4)/6 with K1 = A0, K2 = Am (I + K1/2),
+    # K3 = Am (I + K2/2) and K4 = A1 (I + K3)
+    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
+    k2 = am + am @ (0.5 * a0)
+    k3 = am + am @ (0.5 * k2)
+    k4 = a1 + a1 @ k3
+    return np.eye(a.shape[-1]) + (a0 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
 def _step_maps(req: EvolveRequest, lo: int, hi: int) -> np.ndarray:
-    """The maps exp(-i H dt) of steps lo to hi - 1, as (hi - lo, n, n)
-    matrices held in entry rows (core_model.from_entry_rows).
+    """The maps of steps lo to hi - 1, exp(-i H dt) or RK4 step matrices, as
+    (hi - lo, n, n) matrices held in entry rows (core_model.from_entry_rows).
 
-    The controls are sampled once, at every midpoint of the range; the
-    Hamiltonian, -i H dt and its exponential are then formed _BLOCK steps at
-    a time, so their temporaries stay in cache, and each block's maps are
-    written into the one output array."""
+    The controls are sampled once, at every midpoint of the range (for RK4
+    at every half step 2 lo ... 2 hi); the Hamiltonian, -i H dt and the maps
+    are then formed _BLOCK steps at a time, so their temporaries stay in
+    cache, and each block's maps are written into the one output array."""
     n = req.model.dim
     dt = req.schedule.duration / resolve_steps(req.steps, n)
     # allocated before the samples: with glibc's allocator a 131 072-step
     # Lambda trajectory evolve then took 332 minor page faults, against
     # about 7 500 with the samples first, and ran about a quarter faster
     maps = np.empty((n, n, hi - lo), dtype=complex)
-    delta, omega_p, omega_s = _controls(req, (np.arange(lo, hi) + 0.5) * dt)
+    if req.method is Method.RK4:
+        per_step, form = 2, _rk4_step
+        t = np.arange(2 * lo, 2 * hi + 1) * (0.5 * dt)
+    else:
+        per_step, form = 1, expm_small
+        t = (np.arange(lo, hi) + 0.5) * dt
+    delta, omega_p, omega_s = _controls(req, t)
     # -i (-H) dt runs the schedule backwards
     factor = 1j * dt if req.time_reversed else -1j * dt
     for b in range(0, hi - lo, _BLOCK):
-        part = slice(b, b + _BLOCK)
+        end = min(b + _BLOCK, hi - lo)
+        # an RK4 block also reads its last step's end, the next block's start
+        part = slice(per_step * b, per_step * end + per_step - 1)
         h = req.model.hamiltonian_batch(delta[part], omega_p[part], omega_s[part])
-        maps[..., part] = np.moveaxis(expm_small(factor * h), 0, -1)
+        maps[..., b:end] = np.moveaxis(form(factor * h), 0, -1)
     return from_entry_rows(maps)
 
 
 def evolve(req: EvolveRequest) -> EvolveResult:
+    """Propagate req.initial by either method in one loop over chunks of
+    _CHUNK steps: _step_maps forms a chunk's maps, one product tree
+    (_chain_apply) applies them and writes every state of a stored
+    trajectory, then the state is checked.  Raises ValueError for a bad
+    request (dimension, steps < MIN_STEPS, time reversal with gamma, unknown
+    method) and IntegrationError for non-finite amplitudes or norm growth."""
     model = req.model
     dim = model.dim
     if req.initial.dim != dim:
@@ -487,54 +538,31 @@ def evolve(req: EvolveRequest) -> EvolveResult:
         raise ValueError(f"steps must be >= {MIN_STEPS}")
     if req.time_reversed and getattr(model, "gamma", 0.0) != 0.0:
         raise ValueError("time reversal requires gamma = 0")
+    if req.method not in (Method.PIECEWISE_EXPM, Method.RK4):
+        raise ValueError(f"unknown method {req.method!r}")
 
-    duration = req.schedule.duration
-    dt = duration / steps
     psi = np.array(req.initial.amplitudes, dtype=complex)
+    traj_states = np.empty((steps + 1, dim), dtype=complex) if req.store_trajectory else None
 
-    traj_states = None
-    if req.store_trajectory:
-        traj_states = np.empty((steps + 1, dim), dtype=complex)
-        traj_states[0] = psi
-
-    if req.method is Method.PIECEWISE_EXPM:
+    # divergence, as of RK4 on a stiff run, is caught by the norm check, so
+    # silence the float warnings an unstable run emits on its way there
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, _CHUNK):
             hi = min(lo + _CHUNK, steps)
             u = _step_maps(req, lo, hi)
-            # the trajectory's states are written straight into its storage
+            # the trajectory's states, the chunk's first included, are
+            # written straight into its storage
             out = None if traj_states is None else traj_states[lo : hi + 1]
             psi = _chain_apply(u, psi, out)[-1].copy()
             del u  # freed before the next chunk's maps are built
-            _check_state(psi)
-    elif req.method is Method.RK4:
-        half_grid = np.linspace(0.0, duration, 2 * steps + 1)
-        # divergence is caught by the norm check, so silence the float
-        # warnings an unstable run emits on its way there
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, steps, _CHUNK):
-                hi = min(lo + _CHUNK, steps)
-                a = -1j * _hamiltonian_chunk(req, half_grid[2 * lo : 2 * hi + 1])
-                for j in range(hi - lo):
-                    a0, am, a1 = a[2 * j], a[2 * j + 1], a[2 * j + 2]
-                    k1 = a0 @ psi
-                    k2 = am @ (psi + (0.5 * dt) * k1)
-                    k3 = am @ (psi + (0.5 * dt) * k2)
-                    k4 = a1 @ (psi + dt * k3)
-                    psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    if req.store_trajectory:
-                        traj_states[lo + j + 1] = psi
-                _check_state(psi)
-    else:
-        raise ValueError(f"unknown method {req.method!r}")
-
-    final_norm_sq = _check_state(psi)
+            final_norm_sq = _check_state(psi)
     if final_norm_sq > 1.0 + 1e-9:
         raise IntegrationError(
             f"final |psi|^2 = {final_norm_sq} exceeds 1 + 1e-9; increase steps"
         )
     trajectory = None
     if req.store_trajectory:
-        times = np.linspace(0.0, duration, steps + 1)
+        times = np.linspace(0.0, req.schedule.duration, steps + 1)
         if not np.all(np.isfinite(traj_states)):
             raise IntegrationError("non-finite amplitudes in stored trajectory")
         trajectory = (times, traj_states)

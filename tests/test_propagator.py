@@ -350,6 +350,42 @@ class TestSeries2x2:
         scaled = got[1] * np.exp(-709.5)
         assert np.linalg.norm(scaled - expected) <= 4 * EPS * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            # every entry is +-e^710/sqrt 2 = 1.58e308, while the coefficient
+            # e^m sinh(s)/s = 0.9 e^710 overflows
+            710.0 * np.eye(2) + (np.pi / 4) * np.array([[0.0, 1.0], [-1.0, 0.0]]),
+            # the entries are e^709.5 (cosh 0.5, sinh 0.5), while e^(m+s) =
+            # e^710 overflows
+            709.5 * np.eye(2) + 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]),
+        ],
+        ids=["coefficient-overflows", "exp-overflows"],
+    )
+    def test_closed_form_near_overflow_stays_finite(self, monkeypatch, a):
+        taken = spy_2x2(monkeypatch)
+        got = expm_small(a)
+        assert taken == [("closed", None)]
+        with mpmath.workdps(50):
+            e = mpmath.expm(mpmath.matrix(a.tolist()))
+            expected = np.array([[complex(e[i, j]) for j in range(2)] for i in range(2)])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expected)) <= 4 * EPS * np.max(np.abs(expected))
+
+    def test_scaling_keeps_finite_coefficients_bitwise(self, monkeypatch):
+        # Re(m+s) between 700 and 709.78: e^(m+s) is finite, and scaling it
+        # and the entries by powers of two leaves every bit as it was
+        a = np.stack(
+            [
+                two_by_two(kind, 6.0, seed) + 704.0 * np.eye(2)
+                for kind in ("skew", "general", "decay")
+                for seed in range(4)
+            ]
+        )
+        got = expm_small(a)
+        monkeypatch.setattr(propagator, "_CLOSED_SCALE_RE", math.inf)
+        assert np.array_equal(expm_small(a), got)
+
     def test_mixed_batch_takes_degree_of_largest_q(self, monkeypatch):
         small = [two_by_two("skew", 4e-8, seed) for seed in range(40)]
         large = two_by_two("skew", 1.0, 40)
@@ -508,11 +544,17 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1))))
 
 
+def hamiltonian(req: EvolveRequest, t: np.ndarray) -> np.ndarray:
+    """H of req's run at instants t, negated for a time-reversed run."""
+    h = req.model.hamiltonian_batch(*propagator._controls(req, t))
+    return -h if req.time_reversed else h
+
+
 def two_level_steps(kind, duration: float, steps: int, scale: float) -> np.ndarray:
     # -i H dt of a two-level run at every step midpoint, couplings scaled
     req = two_level_request(kind, duration, steps=steps, amplitude_scale=scale)
     dt = duration / steps
-    return -1j * dt * propagator._hamiltonian_chunk(req, (np.arange(steps) + 0.5) * dt)
+    return -1j * dt * hamiltonian(req, (np.arange(steps) + 0.5) * dt)
 
 
 def skew_hermitian_batch() -> np.ndarray:
@@ -625,6 +667,26 @@ def sequential_states(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.array(states)
 
 
+def sequential_rk4(req: EvolveRequest) -> np.ndarray:
+    """Oracle: classical RK4 on the state vector, one step at a time, with
+    -i H sampled at every half step; the initial state and the state after
+    every step."""
+    duration, steps = req.schedule.duration, req.steps
+    dt = duration / steps
+    a = -1j * hamiltonian(req, np.linspace(0.0, duration, 2 * steps + 1))
+    psi = np.array(req.initial.amplitudes, dtype=complex)
+    states = [psi]
+    for j in range(steps):
+        a0, am, a1 = a[2 * j], a[2 * j + 1], a[2 * j + 2]
+        k1 = a0 @ psi
+        k2 = am @ (psi + (0.5 * dt) * k1)
+        k3 = am @ (psi + (0.5 * dt) * k2)
+        k4 = a1 @ (psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(psi)
+    return np.array(states)
+
+
 def random_maps(dim: int, count: int, unitary: bool, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
@@ -731,17 +793,19 @@ class TestEvolveTwoLevel:
 
 @pytest.mark.parametrize("steps", [propagator._CHUNK + 1, 4099], ids=["chunk+1", "odd"])
 @pytest.mark.parametrize(
-    "params, duration",
+    "params, duration, method",
     [
-        ("two_level_params", 5.83 * TAU_PI),
-        ("lambda_params_no_decay", 2.85e-3),
-        ("lambda_params", 2.85e-3),
+        ("two_level_params", 5.83 * TAU_PI, Method.PIECEWISE_EXPM),
+        ("lambda_params_no_decay", 2.85e-3, Method.PIECEWISE_EXPM),
+        ("lambda_params", 2.85e-3, Method.PIECEWISE_EXPM),
+        ("two_level_params", 5.83 * TAU_PI, Method.RK4),
     ],
-    ids=["2x2", "lambda", "lambda-decay"],
+    ids=["2x2", "lambda", "lambda-decay", "2x2-rk4"],
 )
-def test_trajectory_leaves_final_state_unchanged(request, params, duration, steps):
-    # chunk+1 ends on a chunk of one map
-    run = RunSpec(request.getfixturevalue(params), delta_m=DELTA_M, steps=steps)
+def test_trajectory_leaves_final_state_unchanged(request, params, duration, method, steps):
+    # chunk+1 ends on a chunk of one map.  RK4 diverges on the stiff Lambda
+    # runs, so it runs the two-level case only
+    run = RunSpec(request.getfixturevalue(params), delta_m=DELTA_M, steps=steps, method=method)
     plain = run_protocol(run, ScheduleKind.SIQUAD, duration)
     traced = run_protocol(run, ScheduleKind.SIQUAD, duration, store_trajectory=True)
     assert np.array_equal(traced.final.amplitudes, plain.final.amplitudes)
@@ -790,6 +854,29 @@ def lambda_request(gamma: float, steps: int) -> EvolveRequest:
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(functools.partial(two_level_request, steps=100_000), id="2x2-siquad"),
+        pytest.param(
+            functools.partial(
+                toy_lambda_request, steps=propagator._CHUNK + 5, protocol=ScheduleKind.SIQUAD
+            ),
+            id="lambda-decay-chunk+5",
+        ),
+    ],
+)
+def test_rk4_matches_sequential_oracle(make):
+    # every stored state of the RK4 step matrices through the product tree
+    # against the per-step RK4 loop on the state vector; the Lambda run
+    # crosses a chunk boundary
+    req = make(method=Method.RK4, store_trajectory=True)
+    _, states = evolve(req).trajectory
+    expected = sequential_rk4(req)
+    assert states.shape == expected.shape
+    assert np.max(np.abs(states - expected)) <= 1e-11
+
+
+@pytest.mark.parametrize(
     "length", [propagator._BLOCK + 3, propagator._CHUNK + 1], ids=["block+3", "chunk+1"]
 )
 @pytest.mark.parametrize(
@@ -816,7 +903,7 @@ def test_step_maps_match_whole_chunk_exponential(monkeypatch, make, kernels, len
     req = make(steps=lo + length + 7)
     dt = req.schedule.duration / req.steps
     mid = (np.arange(lo, lo + length) + 0.5) * dt
-    expected = expm_small(-1j * dt * propagator._hamiltonian_chunk(req, mid))
+    expected = expm_small(-1j * dt * hamiltonian(req, mid))
     taken = spy_kernels(monkeypatch)
     got = propagator._step_maps(req, lo, lo + length)
     assert set(taken) == kernels
