@@ -12,11 +12,11 @@ Two fixed-step methods:
                     excited level dominates, as every Lambda step does, has
                     that level split off exactly, so its phase takes no
                     squarings either (see expm_small).  Steps run in
-                    chunks of _CHUNK: the controls are sampled once per
-                    chunk, and H, -i H dt and the exponential are formed in
-                    cache-sized blocks straight into the chunk's maps
-                    (_step_maps), so a run without a stored trajectory
-                    peaks at about 1.8 chunks of maps (tracemalloc).  One
+                    chunks of _CHUNK: H, -i H dt and the exponential are
+                    formed in cache-sized blocks straight into the chunk's
+                    maps (_step_maps), so a run that forms every map and
+                    stores no trajectory peaks at about 1.8 chunks of maps
+                    (tracemalloc), plus its samples.  One
                     pairwise product tree per chunk gives the final state
                     and, for a stored trajectory, every state on the way,
                     written straight into the trajectory's storage; storing
@@ -26,6 +26,33 @@ Two fixed-step methods:
                     blocks and applied by the same product tree.  It must
                     resolve every phase in H, so it diverges (and aborts) on
                     stiff three-level runs.
+
+A PIECEWISE_EXPM run that is not time reversed samples its controls once for
+the whole run (24 bytes a step; RK4 and time reversal sample once per chunk)
+and takes an exact identity of the midpoint rule where the samples prove
+one; no option selects it:
+
+    constant  every step's controls, and so its H, are equal (FLAT_PI): the
+              one step map is raised to each chunk's length by the product
+              tree's own pairing, about 2 log2(chunk) products, which gives
+              the stepped run's bits.
+    mirror    with Pi the two-level swap or the Lambda ground-state swap and
+              scalars c_j, H_{N-1-j} = Pi H_j Pi + c_j I + E_j, every H_j
+              complex symmetric and sum_{j<N/2} dt ||E_j|| (Frobenius) at
+              most _MIRROR_TOL = 1e-11 (sweeps with delta(T - t) = -delta(t),
+              STIRAP with equal peaks).  Then U_{N-1-j} = e^(-i c_j dt) Pi
+              U_j Pi up to E_j and U_j^T = U_j, so only steps 0 .. ceil(N/2)
+              - 1 are formed and the final state is e^(-i dt sum c_j) Pi P^T
+              Pi [M] P psi, P the first half's product.  The bound is how far the answer may
+              move from the full path's, for products of contractions, so
+              for gamma > 0 too.
+    full      RK4, time reversal, and every run the samples refute: each
+              step's map is formed and applied.
+
+A mirror run of one chunk peaks at 1.3 chunks of maps (two-level) and 1.06
+(Lambda), one of two chunks at 2.6 and 2.1 (tracemalloc, samples included).
+A stored trajectory still takes every map; on a mirror run its last state is
+the mirror's final state.
 
 Propagation is deterministic: identical requests give bit-identical results.
 """
@@ -52,6 +79,12 @@ _NORM_ABORT = 1e-6
 # core) 2048 and 4096 timed within 10 % of each other for the Taylor kernel,
 # 512 and 16384 about 50 % slower
 _BLOCK = 2048
+# a mirror run may move its answer by at most this from the full path's (see
+# _mirror_final): sum over the first half of dt ||E_j||, which bounds the
+# change for products of contractions, so for gamma > 0 too.  The Lambda
+# STIRAP runs at 2.85 ms read 3.5e-12 to 9.6e-12, from the rounding of the
+# mirrored sample times; at 21.12 ms they read 1.2e-11 to 2.6e-11
+_MIRROR_TOL = 1e-11
 # largest Frobenius norm the Taylor kernel takes.  Its relative error grows as
 # ~1e-16 ||A||: measured 7.8e-13 at 2^13, 5e-11 at 2^19, 0.1 at 2^50; from
 # about 2^60 the squarings return garbage, zeros or NaN
@@ -121,10 +154,19 @@ class EvolveRequest:
 
 @dataclass(frozen=True)
 class EvolveResult:
+    """A run's final state and, with store_trajectory, every state on the
+    way.  `path` names what gave the final state: "full", "mirror" or
+    "constant" (see the module docstring); `mirror_bound` is the mirror's
+    bound sum dt ||E_j|| where it was evaluated (summed up to the block that
+    refuted it, inf for an H that is not symmetric), else None.  Neither is
+    written to any output file."""
+
     final: QuantumState
     final_norm_sq: float
     populations: np.ndarray
     trajectory: tuple[np.ndarray, np.ndarray] | None = None
+    path: str = "full"
+    mirror_bound: float | None = None
 
 
 def expm_small(a: np.ndarray) -> np.ndarray:
@@ -431,26 +473,50 @@ def _chain_apply(u: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) 
     array, every one, written in place to out[1:] (and psi to out[0]) and
     returned as that view.
 
-    One pairwise tree, a Blelloch scan.  Up: level l + 1 multiplies pairs of
-    level l and carries an odd last map; root @ psi is the last state.  Down:
-    member 2j of level l takes column 2j*2**l of `states` to (2j+1)*2**l,
-    where column k + 1 is the state after map k; the rest came from above."""
+    One pairwise tree, a Blelloch scan.  Up (_up_sweep): level l + 1
+    multiplies pairs of level l and carries an odd last map; root @ psi is
+    the last state.  Down: member 2j of level l takes column 2j*2**l of
+    `states` to (2j+1)*2**l, where column k + 1 is the state after map k; the
+    rest came from above."""
     n = u.shape[-1]
-    every = out is not None
-    levels = [to_entry_rows(u).reshape(n * n, -1)]
-    while levels[-1].shape[-1] > 1:
-        m = levels[-1] if every else levels.pop()  # only the down-sweep needs them
-        count = m.shape[-1]
-        even = (count // 2) * 2
-        paired = _mul(m[:, 1:even:2], m[:, 0:even:2])
-        levels.append(np.concatenate([paired, m[:, -1:]], axis=-1) if count % 2 else paired)
-    states = out.T if every else np.empty((n, 2), dtype=complex)
+    rows = to_entry_rows(u).reshape(n * n, -1)
+    if out is None:
+        return _apply(_up_sweep(rows), psi[:, None]).T
+    levels = [rows]
+    _up_sweep(rows, levels)
+    states = out.T
     states[:, 0] = psi
     states[:, -1:] = _apply(levels[-1], states[:, :1])
     for l in reversed(range(len(levels) - 1)):
         w, end = 2**l, levels[l].shape[-1] // 2 * 2
         states[:, w : end * w : 2 * w] = _apply(levels[l][:, :end:2], states[:, : end * w : 2 * w])
     return states[:, 1:].T
+
+
+def _up_sweep(m: np.ndarray, levels: list | None = None) -> np.ndarray:
+    # the root, as (n*n, 1) rows, of the product tree over the (n*n, k) maps
+    # m; every level above m is appended to `levels` when given
+    while m.shape[-1] > 1:
+        count = m.shape[-1]
+        even = (count // 2) * 2
+        paired = _mul(m[:, 1:even:2], m[:, 0:even:2])
+        m = np.concatenate([paired, m[:, -1:]], axis=-1) if count % 2 else paired
+        if levels is not None:
+            levels.append(m)
+    return m
+
+
+def _tree_power(u: np.ndarray, count: int) -> np.ndarray:
+    # the root _up_sweep forms from `count` copies of the (n*n, 1) map u, in
+    # about 2 log2(count) products: on every level all members but the last
+    # are equal, and the last is their product with an odd map carried up
+    bulk = last = u
+    while count > 1:
+        if count % 2 == 0:
+            last = _mul(last, bulk)
+        bulk = _mul(bulk, bulk)
+        count = (count + 1) // 2
+    return last
 
 
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -490,43 +556,145 @@ def _rk4_step(a: np.ndarray) -> np.ndarray:
     return np.eye(a.shape[-1]) + (a0 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def _step_maps(req: EvolveRequest, lo: int, hi: int) -> np.ndarray:
+def _samples(req: EvolveRequest, lo: int, hi: int):
+    """The controls (delta, omega_p, omega_s) of steps lo to hi - 1: at each
+    step's midpoint, for RK4 at every half step 2 lo ... 2 hi."""
+    dt = req.schedule.duration / resolve_steps(req.steps, req.model.dim)
+    if req.method is Method.RK4:
+        return _controls(req, np.arange(2 * lo, 2 * hi + 1) * (0.5 * dt))
+    return _controls(req, (np.arange(lo, hi) + 0.5) * dt)
+
+
+def _run_samples(req: EvolveRequest, steps: int) -> np.ndarray:
+    # the midpoint controls of the whole run as (3, steps) rows, sampled a
+    # chunk at a time so the sampling temporaries stay chunk-sized; a step's
+    # samples do not depend on the range they are taken in
+    out = np.empty((3, steps))
+    for lo in range(0, steps, _CHUNK):
+        for row, x in zip(out[:, lo : lo + _CHUNK], _samples(req, lo, min(lo + _CHUNK, steps))):
+            row[...] = x
+    return out
+
+
+def _step_maps(req: EvolveRequest, lo: int, hi: int, samples=None, check=None) -> np.ndarray | None:
     """The maps of steps lo to hi - 1, exp(-i H dt) or RK4 step matrices, as
     (hi - lo, n, n) matrices held in entry rows (core_model.from_entry_rows).
 
-    The controls are sampled once, at every midpoint of the range (for RK4
-    at every half step 2 lo ... 2 hi); the Hamiltonian, -i H dt and the maps
-    are then formed _BLOCK steps at a time, so their temporaries stay in
-    cache, and each block's maps are written into the one output array."""
+    `samples` are the run's midpoint controls from step 0 (_run_samples);
+    when None, those of steps lo to hi - 1 are sampled here.  The
+    Hamiltonian, -i H dt and the maps are formed _BLOCK steps at a time, so
+    their temporaries stay in cache, and each block's maps are written into
+    the one output array.  `check(h, j0, j1)`, when given, sees the H of
+    steps j0 to j1 - 1 before their maps are formed; once it returns False
+    no more maps are formed and None is returned."""
     n = req.model.dim
     dt = req.schedule.duration / resolve_steps(req.steps, n)
-    # allocated before the samples: with glibc's allocator a 131 072-step
-    # Lambda trajectory evolve then took 332 minor page faults, against
-    # about 7 500 with the samples first, and ran about a quarter faster
+    # allocated before any samples taken here: with glibc's allocator a
+    # 131 072-step Lambda trajectory evolve then took 332 minor page faults,
+    # against about 7 500 with the samples first, and ran a quarter faster
     maps = np.empty((n, n, hi - lo), dtype=complex)
-    if req.method is Method.RK4:
-        per_step, form = 2, _rk4_step
-        t = np.arange(2 * lo, 2 * hi + 1) * (0.5 * dt)
-    else:
-        per_step, form = 1, expm_small
-        t = (np.arange(lo, hi) + 0.5) * dt
-    delta, omega_p, omega_s = _controls(req, t)
+    first = lo
+    if samples is None:
+        samples, first = _samples(req, lo, hi), 0
+    per_step, form = (2, _rk4_step) if req.method is Method.RK4 else (1, expm_small)
+    delta, omega_p, omega_s = samples
     # -i (-H) dt runs the schedule backwards
     factor = 1j * dt if req.time_reversed else -1j * dt
     for b in range(0, hi - lo, _BLOCK):
         end = min(b + _BLOCK, hi - lo)
         # an RK4 block also reads its last step's end, the next block's start
-        part = slice(per_step * b, per_step * end + per_step - 1)
+        part = slice(per_step * (first + b), per_step * (first + end) + per_step - 1)
         h = req.model.hamiltonian_batch(delta[part], omega_p[part], omega_s[part])
+        if check is not None and not check(h, lo + b, lo + end):
+            return None
         maps[..., b:end] = np.moveaxis(form(factor * h), 0, -1)
     return from_entry_rows(maps)
 
 
+def _structure(req: EvolveRequest, samples) -> str:
+    """The identity of the midpoint rule that evolve tries on a
+    PIECEWISE_EXPM run that is not time reversed, from its midpoint
+    controls: "constant" when every step's controls, and so its H, are
+    equal, unless a trajectory is stored (stepping every map gives the
+    constant path's bits, "full"); else "mirror", which _mirror_final proves
+    or refutes."""
+    if all(np.all(s == s[0]) for s in samples):
+        return "full" if req.store_trajectory else "constant"
+    return "mirror"
+
+
+def _mirror_final(req: EvolveRequest, samples, psi: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """The final state of a mirror run from steps 0 to ceil(N/2) - 1 alone,
+    and the bound sum_{j < N/2} dt ||E_j||; or None and the bound summed up
+    to the block that took it past _MIRROR_TOL (inf for an H_j that is not
+    exactly complex symmetric).
+
+    Pi swaps the first two basis states (the two-level swap, the Lambda
+    ground-state swap), H_{N-1-j} = Pi H_j Pi + c_j I + E_j with c_j the
+    mean of the diagonal of H_{N-1-j} - Pi H_j Pi, and ||.|| is the
+    Frobenius norm; each block's pairs are checked before its maps are
+    formed.  Up to E_j, U_{N-1-j} = e^(-i c_j dt) Pi U_j Pi, and U_j^T = U_j
+    for complex symmetric H_j, so the second half's product is
+    e^(-i dt sum c_j) Pi P^T Pi, with P = U_{N/2-1} ... U_0 the root of each
+    chunk's tree, multiplied across chunks.  The final state is
+    e^(-i dt sum c_j) Pi P^T Pi [M] P psi, M the middle map of an odd N."""
+    n = req.model.dim
+    steps = len(samples[0])
+    half = steps // 2
+    dt = req.schedule.duration / steps
+    swap = [1, 0, *range(2, n)]
+    mirrored = [swap[i] * n + swap[j] for i in range(n) for j in range(n)]
+    bound, c_sum = 0.0, 0j
+
+    def check(h, lo, hi):
+        nonlocal bound, c_sum
+        first = to_entry_rows(h).reshape(n * n, -1)
+        if not all(
+            np.array_equal(first[i * n + j], first[j * n + i])
+            for i in range(n)
+            for j in range(i + 1, n)
+        ):
+            bound = math.inf
+            return False
+        mirror = [s[steps - hi : steps - lo][::-1] for s in samples]
+        e = to_entry_rows(req.model.hamiltonian_batch(*mirror)).reshape(n * n, -1)
+        e -= first[mirrored]
+        c = e[:: n + 1].sum(axis=0) / n
+        e[:: n + 1] -= c
+        # squared moduli from the (re, im) pairs of the float view
+        ev = e.view(float)
+        sq = np.einsum("ib,ib->b", ev, ev)
+        bound += dt * float(np.sum(np.sqrt(sq[0::2] + sq[1::2])))
+        c_sum += c.sum()
+        return bound <= _MIRROR_TOL
+
+    p = None
+    for lo in range(0, half, _CHUNK):
+        u = _step_maps(req, lo, min(lo + _CHUNK, half), samples, check)
+        if u is None:
+            return None, bound
+        root = _up_sweep(to_entry_rows(u).reshape(n * n, -1))
+        del u  # freed before the next chunk's maps are built
+        p = root if p is None else _mul(root, p)
+    v = _apply(p, psi[:, None])
+    if steps % 2:
+        v = _apply(to_entry_rows(_step_maps(req, half, half + 1, samples)).reshape(n * n, 1), v)
+    # (Pi P^T Pi)_ij = P_{swap j, swap i}
+    q = p[[swap[j] * n + swap[i] for i in range(n) for j in range(n)]]
+    return np.exp(-1j * dt * c_sum) * _apply(q, v)[:, 0], bound
+
+
 def evolve(req: EvolveRequest) -> EvolveResult:
-    """Propagate req.initial by either method in one loop over chunks of
-    _CHUNK steps: _step_maps forms a chunk's maps, one product tree
-    (_chain_apply) applies them and writes every state of a stored
-    trajectory, then the state is checked.  Raises ValueError for a bad
+    """Propagate req.initial by either method.  _structure names the
+    identity a run may take (see the module docstring): "constant" raises
+    the one step map per chunk (_tree_power); "mirror" is proved block by
+    block while the first half's maps are formed (_mirror_final), and a run
+    it refutes falls back to the full path.  The full path is one loop over
+    chunks of _CHUNK steps: _step_maps forms a chunk's maps and one product
+    tree (_chain_apply) applies them and writes every state of a stored
+    trajectory, then the state is checked.  A stored trajectory always takes
+    the full path; on a mirror run its last state is then the mirror's, so
+    storing one changes no reported number.  Raises ValueError for a bad
     request (dimension, steps < MIN_STEPS, time reversal with gamma, unknown
     method) and IntegrationError for non-finite amplitudes or norm growth."""
     model = req.model
@@ -543,18 +711,39 @@ def evolve(req: EvolveRequest) -> EvolveResult:
 
     psi = np.array(req.initial.amplitudes, dtype=complex)
     traj_states = np.empty((steps + 1, dim), dtype=complex) if req.store_trajectory else None
+    # a run that may have structure samples its controls once for the whole
+    # run, as proving the mirror needs both halves; RK4 and time reversal
+    # sample chunk by chunk
+    samples, path, bound = None, "full", None
+    if req.method is Method.PIECEWISE_EXPM and not req.time_reversed:
+        samples = _run_samples(req, steps)
+        path = _structure(req, samples)
 
     # divergence, as of RK4 on a stiff run, is caught by the norm check, so
     # silence the float warnings an unstable run emits on its way there
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, steps, _CHUNK):
-            hi = min(lo + _CHUNK, steps)
-            u = _step_maps(req, lo, hi)
-            # the trajectory's states, the chunk's first included, are
-            # written straight into its storage
-            out = None if traj_states is None else traj_states[lo : hi + 1]
-            psi = _chain_apply(u, psi, out)[-1].copy()
-            del u  # freed before the next chunk's maps are built
+        if path == "mirror":
+            mirror_final, bound = _mirror_final(req, samples, psi)
+            path = "full" if mirror_final is None else "mirror"
+        if path == "constant":
+            one = to_entry_rows(_step_maps(req, 0, 1, samples)).reshape(dim * dim, 1)
+        if path != "mirror" or traj_states is not None:
+            for lo in range(0, steps, _CHUNK):
+                hi = min(lo + _CHUNK, steps)
+                if path == "constant":
+                    psi = _apply(_tree_power(one, hi - lo), psi[:, None])[:, 0]
+                else:
+                    u = _step_maps(req, lo, hi, samples)
+                    # the trajectory's states, the chunk's first included,
+                    # are written straight into its storage
+                    out = None if traj_states is None else traj_states[lo : hi + 1]
+                    psi = _chain_apply(u, psi, out)[-1].copy()
+                    del u  # freed before the next chunk's maps are built
+                final_norm_sq = _check_state(psi)
+        if path == "mirror":
+            psi = mirror_final
+            if traj_states is not None:
+                traj_states[-1] = psi
             final_norm_sq = _check_state(psi)
     if final_norm_sq > 1.0 + 1e-9:
         raise IntegrationError(
@@ -571,6 +760,8 @@ def evolve(req: EvolveRequest) -> EvolveResult:
         final_norm_sq=final_norm_sq,
         populations=np.abs(psi) ** 2,
         trajectory=trajectory,
+        path=path,
+        mirror_bound=bound,
     )
 
 

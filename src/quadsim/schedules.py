@@ -89,15 +89,19 @@ def linear_delta(t, duration: float, delta_m: float):
     return delta_m * (2.0 * t / duration - 1.0)
 
 
-def stirap_pulses(t, duration: float, omega0: float, tau_sep: float, sigma: float):
+def stirap_pulses(
+    t, duration: float, omega0: float, tau_sep: float, sigma: float, omega0_s: float | None = None
+):
     """Counterintuitive Gaussian pair: Stokes peaks at (T - tau_sep)/2,
-    pump at (T + tau_sep)/2, both with peak omega0 and width sigma."""
+    pump at (T + tau_sep)/2, both of width sigma; the pump's peak is omega0,
+    the Stokes peak omega0_s (omega0 when None)."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     if not 0 < tau_sep < duration:
         raise ValueError("tau_sep must lie in (0, duration)")
     t = np.asarray(t, dtype=float)
-    omega_s = omega0 * np.exp(-((t - 0.5 * (duration - tau_sep)) ** 2) / (2.0 * sigma**2))
+    peak_s = omega0 if omega0_s is None else omega0_s
+    omega_s = peak_s * np.exp(-((t - 0.5 * (duration - tau_sep)) ** 2) / (2.0 * sigma**2))
     omega_p = omega0 * np.exp(-((t - 0.5 * (duration + tau_sep)) ** 2) / (2.0 * sigma**2))
     return omega_p, omega_s
 
@@ -126,8 +130,9 @@ class PulseSchedule:
     :func:`quadsim.core_model.reference_gap`.
     drive_amplitude is the constant coupling amplitude fed to the Hamiltonian
     (for STIRAP_GAUSSIAN it is the Gaussian peak); drive_amplitude_s, when
-    set, gives the Stokes leg its own constant amplitude.  tau_sep and sigma
-    apply to STIRAP_GAUSSIAN only and default to duration/5 and duration/8.
+    set, gives the Stokes leg its own amplitude (for STIRAP_GAUSSIAN its own
+    peak).  tau_sep and sigma apply to STIRAP_GAUSSIAN only and default to
+    duration/5 and duration/8.
     """
 
     kind: ScheduleKind
@@ -177,10 +182,12 @@ class PulseSchedule:
     def pulses(self, t):
         """Coupling amplitudes (omega_p, omega_s) at time t; constant drives
         except for the STIRAP Gaussian pair."""
-        if self.kind is ScheduleKind.STIRAP_GAUSSIAN:
-            return stirap_pulses(t, self.duration, self.drive_amplitude, self.tau_sep, self.sigma)
-        t = np.asarray(t, dtype=float)
         drive_s = self.drive_amplitude if self.drive_amplitude_s is None else self.drive_amplitude_s
+        if self.kind is ScheduleKind.STIRAP_GAUSSIAN:
+            return stirap_pulses(
+                t, self.duration, self.drive_amplitude, self.tau_sep, self.sigma, drive_s
+            )
+        t = np.asarray(t, dtype=float)
         return np.full_like(t, self.drive_amplitude), np.full_like(t, drive_s)
 
     def with_duration(self, duration: float) -> "PulseSchedule":

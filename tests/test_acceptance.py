@@ -222,10 +222,23 @@ def test_criterion_4_propagator_properties(two_level_params):
     base = EvolveRequest(
         model=model, schedule=schedule, initial=QuantumState.basis(2, 0), steps=4000
     )
+    # the plain run takes the mirror path; a detuning offset breaks the mirror
+    # and shows the order on the full path
+    detuned = replace(base, detuning_offset=0.1 * two_level_params.omega_m)
+    paths = (evolve(base).path, evolve(detuned).path)
     expm_order = convergence_probe(base, refinements=4).order
+    full_order = convergence_probe(detuned, refinements=4).order
     rk4_order = convergence_probe(replace(base, method=Method.RK4), refinements=4).order
-    orders_ok = 1.5 <= expm_order <= 2.5 and 3.5 <= rk4_order <= 4.5
-    details.append(f"orders: expm {expm_order:.2f} (2+-0.5), rk4 {rk4_order:.2f} (4+-0.5)")
+    orders_ok = (
+        paths == ("mirror", "full")
+        and 1.5 <= expm_order <= 2.5
+        and 1.5 <= full_order <= 2.5
+        and 3.5 <= rk4_order <= 4.5
+    )
+    details.append(
+        f"orders: expm {expm_order:.2f} ({paths[0]}), {full_order:.2f} ({paths[1]}) (2+-0.5), "
+        f"rk4 {rk4_order:.2f} (4+-0.5)"
+    )
 
     # matrix exponential against the extended-precision series oracle
     rng = np.random.default_rng(2024)

@@ -25,6 +25,8 @@ from quadsim import (
     RunSpec,
     ScheduleKind,
     SweepSpec,
+    TwoLevelModel,
+    TwoLevelParams,
     convergence_probe,
     evolve,
     expm_small,
@@ -732,8 +734,6 @@ def two_level_request(
     steps=20000,
     **kwargs,
 ):
-    from quadsim import TwoLevelParams
-
     params = TwoLevelParams(omega_m=OMEGA_M)
     model = make_model(params)
     schedule = make_schedule(params, protocol, duration, delta_m=delta_m)
@@ -1011,6 +1011,258 @@ def test_lambda_evolve_independent_of_hamiltonian_layout(request, params):
     assert np.array_equal(got.trajectory[1], expected.trajectory[1])
 
 
+# the two-level operation times of the fig2 presets, and tau_pi for FLAT_PI
+TWO_LEVEL_T = {
+    ScheduleKind.SIQUAD: 5.83 * TAU_PI,
+    ScheduleKind.FAQUAD: 6.33 * TAU_PI,
+    ScheduleKind.LINEAR: 6.0 * TAU_PI,
+    ScheduleKind.FLAT_PI: TAU_PI,
+}
+STEP_COUNTS = [
+    pytest.param(20_000, id="even"),
+    pytest.param(20_001, id="odd"),
+    # the first half ends inside the second chunk
+    pytest.param(2 * propagator._CHUNK + 3, id="2chunks+3"),
+]
+
+
+def full_path(monkeypatch, req: EvolveRequest) -> EvolveResult:
+    """req evolved with _structure forced to find no structure."""
+    with monkeypatch.context() as m:
+        m.setattr(propagator, "_structure", lambda req, samples: "full")
+        result = evolve(req)
+    assert result.path == "full" and result.mirror_bound is None
+    return result
+
+
+def agreement_bound(req: EvolveRequest) -> float:
+    """max(1e-9, 4 eps N max ||H dt||): how far a structured run's final
+    state may lie from the full path's."""
+    dt = req.schedule.duration / req.steps
+    h = hamiltonian(req, (np.arange(req.steps) + 0.5) * dt)
+    return max(1e-9, 4 * EPS * req.steps * dt * float(np.max(np.linalg.norm(h, axis=(-2, -1)))))
+
+
+def stirap_request(gamma: float, steps: int, **kwargs) -> EvolveRequest:
+    # the bundled Lambda scenario's STIRAP run, equal peaks
+    params = LambdaParams(
+        omega_p0=OMEGA0, omega_s0=OMEGA0, delta_one_photon=DELTA_BIG, gamma=gamma
+    )
+    return EvolveRequest(
+        model=make_model(params),
+        schedule=make_schedule(params, ScheduleKind.STIRAP_GAUSSIAN, 2.85e-3),
+        initial=QuantumState.basis(3, 0),
+        steps=steps,
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("steps", STEP_COUNTS)
+@pytest.mark.parametrize(
+    "error",
+    [
+        {"amplitude_scale": 0.8},
+        {"amplitude_scale": 1.0},
+        {"amplitude_scale": 1.2},
+        {"amplitude_offset": 0.1 * OMEGA_M},
+    ],
+    ids=["scale-0.8", "scale-1.0", "scale-1.2", "offset"],
+)
+@pytest.mark.parametrize(
+    "protocol, path",
+    [
+        (ScheduleKind.SIQUAD, "mirror"),
+        (ScheduleKind.FAQUAD, "mirror"),
+        (ScheduleKind.LINEAR, "mirror"),
+        (ScheduleKind.FLAT_PI, "constant"),
+    ],
+    ids=["siquad", "faquad", "linear", "flat_pi"],
+)
+def test_two_level_structured_path_matches_full_path(monkeypatch, protocol, path, error, steps):
+    req = two_level_request(protocol, TWO_LEVEL_T[protocol], steps=steps, **error)
+    got = evolve(req)
+    full = full_path(monkeypatch, req)
+    assert got.path == path
+    assert np.max(np.abs(got.final.amplitudes - full.final.amplitudes)) <= agreement_bound(req)
+    if path == "constant":
+        # the product tree's own pairing of equal maps: the same bits
+        assert got.mirror_bound is None
+        assert np.array_equal(got.final.amplitudes, full.final.amplitudes)
+    else:
+        assert 0.0 < got.mirror_bound <= propagator._MIRROR_TOL
+
+
+@pytest.mark.parametrize("steps", STEP_COUNTS)
+@pytest.mark.parametrize("gamma", [0.0, GAMMA], ids=["no-decay", "decay"])
+def test_lambda_stirap_mirror_matches_full_path(monkeypatch, gamma, steps):
+    # the pulses mirror each other and delta = 0, so Pi, the ground-state
+    # swap, relates the halves with c_j = 0; decay sits on the fixed level
+    req = stirap_request(gamma, steps)
+    got = evolve(req)
+    full = full_path(monkeypatch, req)
+    assert got.path == "mirror" and got.mirror_bound <= propagator._MIRROR_TOL
+    assert np.max(np.abs(got.final.amplitudes - full.final.amplitudes)) <= agreement_bound(req)
+    assert abs(got.final_norm_sq - full.final_norm_sq) <= agreement_bound(req)
+
+
+@pytest.mark.parametrize("steps", [4098, 4099])
+def test_mirror_run_forms_half_the_maps(monkeypatch, steps):
+    formed = []
+    original = propagator.expm_small
+
+    def counted(a):
+        formed.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(propagator, "expm_small", counted)
+    assert evolve(two_level_request(steps=steps)).path == "mirror"
+    assert sum(formed) == (steps + 1) // 2
+
+
+def unequal_stirap_peaks(steps: int = 20_000) -> EvolveRequest:
+    req = stirap_request(GAMMA, steps)
+    return replace(req, schedule=replace(req.schedule, drive_amplitude_s=0.9 * OMEGA0))
+
+
+INELIGIBLE = [
+    pytest.param(
+        functools.partial(two_level_request, detuning_offset=0.1 * OMEGA_M), id="detuning-offset"
+    ),
+    pytest.param(unequal_stirap_peaks, id="unequal-stirap-peaks"),
+    # mirroring delta moves the excited level by delta
+    pytest.param(functools.partial(lambda_request, GAMMA, 20_000), id="lambda-siquad"),
+]
+
+
+@pytest.mark.parametrize("make", INELIGIBLE)
+def test_ineligible_runs_take_full_path(monkeypatch, make):
+    req = make()
+    got = evolve(req)
+    assert got.path == "full" and got.mirror_bound > propagator._MIRROR_TOL
+    assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
+
+
+class SigmaYModel(TwoLevelModel):
+    """A two-level model with an imaginary coupling, as a counter-diabatic
+    term adds: Hermitian, but not complex symmetric."""
+
+    def hamiltonian_batch(self, delta, omega_p, omega_s):
+        h = super().hamiltonian_batch(delta, omega_p, omega_s)
+        h[:, 0, 1] -= 0.05j * omega_p
+        h[:, 1, 0] += 0.05j * omega_p
+        return h
+
+
+def test_non_symmetric_hamiltonian_takes_full_path(monkeypatch):
+    # the mirror transposes the first half's product, so it needs U_j^T = U_j
+    req = replace(two_level_request(steps=4000), model=SigmaYModel(TwoLevelParams(omega_m=OMEGA_M)))
+    got = evolve(req)
+    assert got.path == "full" and got.mirror_bound == math.inf
+    assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "change", [{"method": Method.RK4}, {"time_reversed": True}], ids=["rk4", "time-reversed"]
+)
+@pytest.mark.parametrize("protocol", [ScheduleKind.SIQUAD, ScheduleKind.FLAT_PI])
+def test_rk4_and_time_reversal_look_for_no_structure(protocol, change):
+    result = evolve(two_level_request(protocol, TWO_LEVEL_T[protocol], steps=4000, **change))
+    assert result.path == "full" and result.mirror_bound is None
+
+
+@pytest.mark.parametrize(
+    "protocol, path", [(ScheduleKind.SIQUAD, "mirror"), (ScheduleKind.FLAT_PI, "full")]
+)
+def test_stored_trajectory_steps_every_map(monkeypatch, protocol, path):
+    # every state on the way is the full path's; the last one is the plain
+    # run's final state, so storing a trajectory changes no reported number
+    req = two_level_request(protocol, TWO_LEVEL_T[protocol], steps=4099, store_trajectory=True)
+    traced = evolve(req)
+    full = full_path(monkeypatch, req)
+    plain = evolve(replace(req, store_trajectory=False))
+    assert traced.path == path
+    assert np.array_equal(traced.trajectory[1][:-1], full.trajectory[1][:-1])
+    assert np.array_equal(traced.trajectory[1][-1], plain.final.amplitudes)
+    assert np.array_equal(traced.final.amplitudes, plain.final.amplitudes)
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["short-of-bound", "past-bound"])
+def test_mirror_gate_at_the_bound(monkeypatch, past):
+    # shift the last step's delta so that the bound lands 0.1 % short of, or
+    # past, _MIRROR_TOL: its pair's residual is diag(a, -a) with
+    # a = (delta_{N-1} + delta_0) / 2, of Frobenius norm |2 a| / sqrt 2
+    steps = 20_000
+    req = two_level_request(steps=steps)
+    dt = req.schedule.duration / steps
+    base = evolve(req).mirror_bound
+    ends = propagator._controls(req, (np.array([0, steps - 1]) + 0.5) * dt)[0]
+    two_a = ends[0] + ends[1]
+    target = propagator._MIRROR_TOL * (1.001 if past else 0.999)
+    shift = (abs(two_a) + math.sqrt(2) * (target - base) / dt) - two_a
+    original = propagator._controls
+
+    def perturbed(req, t):
+        delta, omega_p, omega_s = original(req, t)
+        if len(t) == steps:
+            delta = delta.copy()
+            delta[-1] += shift
+        return delta, omega_p, omega_s
+
+    monkeypatch.setattr(propagator, "_controls", perturbed)
+    got = evolve(req)
+    assert got.path == ("full" if past else "mirror")
+    assert got.mirror_bound == pytest.approx(target, rel=1e-4)
+
+
+def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
+    # Delta = 3 Omega does not dominate, so every batch takes the Taylor
+    # kernel, which refuses -i H T itself; the stepped run takes 20 000 maps
+    # of norm about 95
+    params = LambdaParams(
+        omega_p0=2 * math.pi * 1e6, omega_s0=2 * math.pi * 1e6, delta_one_photon=2 * math.pi * 3e6
+    )
+    duration = 0.1
+    req = EvolveRequest(
+        model=make_model(params),
+        schedule=make_schedule(params, ScheduleKind.FLAT_PI, duration),
+        initial=QuantumState.basis(3, 0),
+        steps=20_000,
+    )
+    h = hamiltonian(req, np.array([0.5 * duration / req.steps]))[0]
+    assert np.linalg.norm(h) * duration > propagator._TAYLOR_MAX_NORM
+    with pytest.raises(ValueError, match="exceeds"):
+        expm_small(-1j * duration * h)
+    taken = spy_kernels(monkeypatch)
+    got = evolve(req)
+    assert got.path == "constant" and set(taken) == {"_expm_scaled_taylor"}
+    assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *INELIGIBLE,
+        pytest.param(functools.partial(two_level_request, steps=20_001), id="mirror"),
+        pytest.param(
+            functools.partial(lambda_request, GAMMA, 2 * propagator._CHUNK + 3),
+            id="lambda-siquad-2chunks+3",
+        ),
+    ],
+)
+def test_controls_sampled_once_per_step(monkeypatch, make):
+    sampled = []
+    original = propagator._controls
+
+    def counted(req, t):
+        sampled.append(len(t))
+        return original(req, t)
+
+    monkeypatch.setattr(propagator, "_controls", counted)
+    req = make()
+    evolve(req)
+    assert sum(sampled) == req.steps
+
+
 class TestEvolveWithDecay:
     def test_bare_excited_state_decays_exponentially(self):
         gamma = 2 * math.pi * 5.6e6
@@ -1107,7 +1359,16 @@ class TestConvergenceProbe:
         assert max(err for _, err in report.rows) < 1e-12
 
     def test_expm_midpoint_is_second_order(self):
+        assert evolve(two_level_request(steps=4000)).path == "mirror"
         report = convergence_probe(two_level_request(steps=4000), refinements=4)
+        assert 1.5 <= report.order <= 2.5
+
+    def test_expm_midpoint_is_second_order_on_full_path(self):
+        # a detuning offset breaks the mirror, so every refinement steps
+        # every map
+        req = two_level_request(steps=4000, detuning_offset=0.1 * OMEGA_M)
+        assert evolve(req).path == "full"
+        report = convergence_probe(req, refinements=4)
         assert 1.5 <= report.order <= 2.5
 
     def test_rk4_is_fourth_order(self):

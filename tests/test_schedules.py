@@ -195,6 +195,18 @@ class TestStirap:
         omega_p, omega_s = sched.pulses(early)
         assert omega_s > omega_p
 
+    def test_stokes_peak_from_drive_amplitude_s(self):
+        # LambdaParams.omega_s0 reaches the schedule as drive_amplitude_s
+        sched = PulseSchedule(
+            kind=ScheduleKind.STIRAP_GAUSSIAN,
+            duration=self.T3,
+            drive_amplitude=self.OMEGA0,
+            drive_amplitude_s=0.5 * self.OMEGA0,
+        )
+        omega_p, _ = sched.pulses((self.T3 + sched.tau_sep) / 2)
+        _, omega_s = sched.pulses((self.T3 - sched.tau_sep) / 2)
+        assert omega_p == self.OMEGA0 and omega_s == 0.5 * self.OMEGA0
+
     def test_defaults_resolved_from_duration(self):
         sched = PulseSchedule(
             kind=ScheduleKind.STIRAP_GAUSSIAN, duration=self.T3, drive_amplitude=self.OMEGA0
