@@ -106,7 +106,6 @@ class ReducedTwoLevelModel:
 
     def __init__(self, effective: EffectiveTwoLevel):
         self.effective = effective
-        self.gamma = effective.gamma_eff
 
     def hamiltonian_batch(
         self, delta: np.ndarray, omega_p: np.ndarray, omega_s: np.ndarray

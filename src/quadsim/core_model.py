@@ -247,7 +247,6 @@ class TwoLevelModel:
     """Builds two-level Hamiltonian batches from schedule samples."""
 
     dim = 2
-    gamma = 0.0
 
     def __init__(self, params: TwoLevelParams):
         self.params = params
@@ -276,7 +275,6 @@ class LambdaModel:
 
     def __init__(self, params: LambdaParams):
         self.params = params
-        self.gamma = params.gamma
 
     def hamiltonian_batch(
         self, delta: np.ndarray, omega_p: np.ndarray, omega_s: np.ndarray

@@ -27,10 +27,10 @@ Two fixed-step methods:
                     resolve every phase in H, so it diverges (and aborts) on
                     stiff three-level runs.
 
-A PIECEWISE_EXPM run that is not time reversed samples its controls once for
-the whole run (24 bytes a step; RK4 and time reversal sample once per chunk)
-and takes an exact identity of the midpoint rule where the samples prove
-one; no option selects it:
+Every run samples its controls once, a chunk of instants at a time
+(_run_samples): 24 bytes a step at the midpoints, 48 for RK4's 2N + 1 half
+steps.  A PIECEWISE_EXPM run takes an exact identity of the midpoint rule
+where its samples prove one; no option selects it:
 
     constant  every step's controls, and so its H, are equal (FLAT_PI): the
               one step map is raised to each chunk's length by the product
@@ -46,8 +46,8 @@ one; no option selects it:
               Pi [M] P psi, P the first half's product.  The bound is how far the answer may
               move from the full path's, for products of contractions, so
               for gamma > 0 too.
-    full      RK4, time reversal, and every run the samples refute: each
-              step's map is formed and applied.
+    full      RK4, which looks for no structure, and every run the samples
+              refute: each step's map is formed and applied.
 
 A mirror run of one chunk peaks at 1.3 chunks of maps (two-level) and 1.06
 (Lambda), one of two chunks at 2.6 and 2.1 (tracemalloc, samples included).
@@ -137,8 +137,7 @@ class IntegrationError(RuntimeError):
 class EvolveRequest:
     """One propagation task.  amplitude_scale multiplies and amplitude_offset
     shifts the schedule's coupling amplitudes; detuning_offset adds a constant
-    to delta(t); all three model systematic control errors.  time_reversed
-    runs the schedule backwards with H negated (gamma must be 0)."""
+    to delta(t); all three model systematic control errors."""
 
     model: object
     schedule: PulseSchedule
@@ -149,7 +148,6 @@ class EvolveRequest:
     amplitude_scale: float = 1.0
     amplitude_offset: float = 0.0
     detuning_offset: float = 0.0
-    time_reversed: bool = False
 
 
 @dataclass(frozen=True)
@@ -236,12 +234,7 @@ def expm_small(a: np.ndarray) -> np.ndarray:
         return np.moveaxis(out.reshape((2, 2) + a.shape[:-2]), (0, 1), (-2, -1))
     # (n*n, batch) entry rows; a view for entry-major and (batch, n, n) storage
     rows = np.moveaxis(a, (-2, -1), (0, 1)).reshape(n * n, -1)
-    symmetric = all(
-        np.array_equal(rows[i * n + j], rows[j * n + i])
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    if symmetric and n == 3 and _last_entry_dominates(rows):
+    if n == 3 and _symmetric(rows) and _last_entry_dominates(rows):
         return from_entry_rows(_expm_decoupled(rows).reshape(n, n, -1)).reshape(a.shape)
     u = from_entry_rows(_expm_scaled_taylor(rows).reshape(n, n, -1))
     skew = all(
@@ -250,6 +243,15 @@ def expm_small(a: np.ndarray) -> np.ndarray:
         for j in range(i, n)
     )
     return (_unitarize(u) if skew else u).reshape(a.shape)
+
+
+def _symmetric(rows: np.ndarray) -> bool:
+    # every n x n matrix of the (n*n, batch) entry rows equals its transpose,
+    # exactly
+    n = math.isqrt(len(rows))
+    return all(
+        np.array_equal(rows[i * n + j], rows[j * n + i]) for i in range(n) for j in range(i + 1, n)
+    )
 
 
 def _expm_2x2(a00, a01, a10, a11) -> np.ndarray:
@@ -535,11 +537,10 @@ def _check_state(psi: np.ndarray) -> float:
 
 
 def _controls(req: EvolveRequest, t: np.ndarray):
-    """Schedule samples at (possibly time-reversed) instants t."""
+    """Schedule samples at instants t."""
     sched = req.schedule
-    sample_t = sched.duration - t if req.time_reversed else t
-    delta = sched.delta(sample_t) + req.detuning_offset
-    omega_p, omega_s = sched.pulses(sample_t)
+    delta = sched.delta(t) + req.detuning_offset
+    omega_p, omega_s = sched.pulses(t)
     scale, shift = req.amplitude_scale, req.amplitude_offset
     return delta, scale * omega_p + shift, scale * omega_s + shift
 
@@ -556,32 +557,31 @@ def _rk4_step(a: np.ndarray) -> np.ndarray:
     return np.eye(a.shape[-1]) + (a0 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def _samples(req: EvolveRequest, lo: int, hi: int):
-    """The controls (delta, omega_p, omega_s) of steps lo to hi - 1: at each
-    step's midpoint, for RK4 at every half step 2 lo ... 2 hi."""
-    dt = req.schedule.duration / resolve_steps(req.steps, req.model.dim)
-    if req.method is Method.RK4:
-        return _controls(req, np.arange(2 * lo, 2 * hi + 1) * (0.5 * dt))
-    return _controls(req, (np.arange(lo, hi) + 0.5) * dt)
-
-
 def _run_samples(req: EvolveRequest, steps: int) -> np.ndarray:
-    # the midpoint controls of the whole run as (3, steps) rows, sampled a
-    # chunk at a time so the sampling temporaries stay chunk-sized; a step's
-    # samples do not depend on the range they are taken in
-    out = np.empty((3, steps))
-    for lo in range(0, steps, _CHUNK):
-        for row, x in zip(out[:, lo : lo + _CHUNK], _samples(req, lo, min(lo + _CHUNK, steps))):
+    """The controls (delta, omega_p, omega_s) of the whole run as (3, m) rows:
+    at each step's midpoint, m = steps, or for RK4 at every half step, m =
+    2 steps + 1.  Each instant is sampled once, _CHUNK instants at a time so
+    the sampling temporaries stay chunk-sized; a sample does not depend on
+    the range it is taken in."""
+    dt = req.schedule.duration / steps
+    rk4 = req.method is Method.RK4
+    count = 2 * steps + 1 if rk4 else steps
+    out = np.empty((3, count))
+    for lo in range(0, count, _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, count))
+        t = k * (0.5 * dt) if rk4 else (k + 0.5) * dt
+        for row, x in zip(out[:, lo : lo + _CHUNK], _controls(req, t)):
             row[...] = x
     return out
 
 
-def _step_maps(req: EvolveRequest, lo: int, hi: int, samples=None, check=None) -> np.ndarray | None:
+def _step_maps(
+    req: EvolveRequest, samples: np.ndarray, lo: int, hi: int, check=None
+) -> np.ndarray | None:
     """The maps of steps lo to hi - 1, exp(-i H dt) or RK4 step matrices, as
     (hi - lo, n, n) matrices held in entry rows (core_model.from_entry_rows).
 
-    `samples` are the run's midpoint controls from step 0 (_run_samples);
-    when None, those of steps lo to hi - 1 are sampled here.  The
+    `samples` are the run's controls from step 0 (_run_samples).  The
     Hamiltonian, -i H dt and the maps are formed _BLOCK steps at a time, so
     their temporaries stay in cache, and each block's maps are written into
     the one output array.  `check(h, j0, j1)`, when given, sees the H of
@@ -589,35 +589,26 @@ def _step_maps(req: EvolveRequest, lo: int, hi: int, samples=None, check=None) -
     no more maps are formed and None is returned."""
     n = req.model.dim
     dt = req.schedule.duration / resolve_steps(req.steps, n)
-    # allocated before any samples taken here: with glibc's allocator a
-    # 131 072-step Lambda trajectory evolve then took 332 minor page faults,
-    # against about 7 500 with the samples first, and ran a quarter faster
     maps = np.empty((n, n, hi - lo), dtype=complex)
-    first = lo
-    if samples is None:
-        samples, first = _samples(req, lo, hi), 0
     per_step, form = (2, _rk4_step) if req.method is Method.RK4 else (1, expm_small)
     delta, omega_p, omega_s = samples
-    # -i (-H) dt runs the schedule backwards
-    factor = 1j * dt if req.time_reversed else -1j * dt
-    for b in range(0, hi - lo, _BLOCK):
-        end = min(b + _BLOCK, hi - lo)
+    for b in range(lo, hi, _BLOCK):
+        end = min(b + _BLOCK, hi)
         # an RK4 block also reads its last step's end, the next block's start
-        part = slice(per_step * (first + b), per_step * (first + end) + per_step - 1)
+        part = slice(per_step * b, per_step * end + per_step - 1)
         h = req.model.hamiltonian_batch(delta[part], omega_p[part], omega_s[part])
-        if check is not None and not check(h, lo + b, lo + end):
+        if check is not None and not check(h, b, end):
             return None
-        maps[..., b:end] = np.moveaxis(form(factor * h), 0, -1)
+        maps[..., b - lo : end - lo] = np.moveaxis(form(-1j * dt * h), 0, -1)
     return from_entry_rows(maps)
 
 
 def _structure(req: EvolveRequest, samples) -> str:
     """The identity of the midpoint rule that evolve tries on a
-    PIECEWISE_EXPM run that is not time reversed, from its midpoint
-    controls: "constant" when every step's controls, and so its H, are
-    equal, unless a trajectory is stored (stepping every map gives the
-    constant path's bits, "full"); else "mirror", which _mirror_final proves
-    or refutes."""
+    PIECEWISE_EXPM run, from its midpoint controls: "constant" when every
+    step's controls, and so its H, are equal, unless a trajectory is stored
+    (stepping every map gives the constant path's bits, "full"); else
+    "mirror", which _mirror_final proves or refutes."""
     if all(np.all(s == s[0]) for s in samples):
         return "full" if req.store_trajectory else "constant"
     return "mirror"
@@ -649,11 +640,7 @@ def _mirror_final(req: EvolveRequest, samples, psi: np.ndarray) -> tuple[np.ndar
     def check(h, lo, hi):
         nonlocal bound, c_sum
         first = to_entry_rows(h).reshape(n * n, -1)
-        if not all(
-            np.array_equal(first[i * n + j], first[j * n + i])
-            for i in range(n)
-            for j in range(i + 1, n)
-        ):
+        if not _symmetric(first):
             bound = math.inf
             return False
         mirror = [s[steps - hi : steps - lo][::-1] for s in samples]
@@ -670,7 +657,7 @@ def _mirror_final(req: EvolveRequest, samples, psi: np.ndarray) -> tuple[np.ndar
 
     p = None
     for lo in range(0, half, _CHUNK):
-        u = _step_maps(req, lo, min(lo + _CHUNK, half), samples, check)
+        u = _step_maps(req, samples, lo, min(lo + _CHUNK, half), check)
         if u is None:
             return None, bound
         root = _up_sweep(to_entry_rows(u).reshape(n * n, -1))
@@ -678,46 +665,39 @@ def _mirror_final(req: EvolveRequest, samples, psi: np.ndarray) -> tuple[np.ndar
         p = root if p is None else _mul(root, p)
     v = _apply(p, psi[:, None])
     if steps % 2:
-        v = _apply(to_entry_rows(_step_maps(req, half, half + 1, samples)).reshape(n * n, 1), v)
+        v = _apply(to_entry_rows(_step_maps(req, samples, half, half + 1)).reshape(n * n, 1), v)
     # (Pi P^T Pi)_ij = P_{swap j, swap i}
     q = p[[swap[j] * n + swap[i] for i in range(n) for j in range(n)]]
     return np.exp(-1j * dt * c_sum) * _apply(q, v)[:, 0], bound
 
 
 def evolve(req: EvolveRequest) -> EvolveResult:
-    """Propagate req.initial by either method.  _structure names the
-    identity a run may take (see the module docstring): "constant" raises
-    the one step map per chunk (_tree_power); "mirror" is proved block by
-    block while the first half's maps are formed (_mirror_final), and a run
-    it refutes falls back to the full path.  The full path is one loop over
-    chunks of _CHUNK steps: _step_maps forms a chunk's maps and one product
-    tree (_chain_apply) applies them and writes every state of a stored
-    trajectory, then the state is checked.  A stored trajectory always takes
-    the full path; on a mirror run its last state is then the mirror's, so
-    storing one changes no reported number.  Raises ValueError for a bad
-    request (dimension, steps < MIN_STEPS, time reversal with gamma, unknown
+    """Propagate req.initial by either method.  The controls are sampled
+    once for the whole run (_run_samples).  _structure names the identity a
+    PIECEWISE_EXPM run may take (see the module docstring; RK4 looks for
+    none): "constant" raises the one step map per chunk (_tree_power);
+    "mirror" is proved block by block while the first half's maps are formed
+    (_mirror_final), and a run it refutes falls back to the full path.  The
+    full path is one loop over chunks of _CHUNK steps: _step_maps forms a
+    chunk's maps and one product tree (_chain_apply) applies them and writes
+    every state of a stored trajectory, then the state is checked.  A stored
+    trajectory always takes the full path; on a mirror run its last state is
+    then the mirror's, so storing one changes no reported number.  Raises
+    ValueError for a bad request (dimension, steps < MIN_STEPS, unknown
     method) and IntegrationError for non-finite amplitudes or norm growth."""
-    model = req.model
-    dim = model.dim
+    dim = req.model.dim
     if req.initial.dim != dim:
         raise ValueError(f"state dimension {req.initial.dim} != model dimension {dim}")
     steps = resolve_steps(req.steps, dim)
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be >= {MIN_STEPS}")
-    if req.time_reversed and getattr(model, "gamma", 0.0) != 0.0:
-        raise ValueError("time reversal requires gamma = 0")
     if req.method not in (Method.PIECEWISE_EXPM, Method.RK4):
         raise ValueError(f"unknown method {req.method!r}")
 
     psi = np.array(req.initial.amplitudes, dtype=complex)
     traj_states = np.empty((steps + 1, dim), dtype=complex) if req.store_trajectory else None
-    # a run that may have structure samples its controls once for the whole
-    # run, as proving the mirror needs both halves; RK4 and time reversal
-    # sample chunk by chunk
-    samples, path, bound = None, "full", None
-    if req.method is Method.PIECEWISE_EXPM and not req.time_reversed:
-        samples = _run_samples(req, steps)
-        path = _structure(req, samples)
+    samples, bound = _run_samples(req, steps), None
+    path = _structure(req, samples) if req.method is Method.PIECEWISE_EXPM else "full"
 
     # divergence, as of RK4 on a stiff run, is caught by the norm check, so
     # silence the float warnings an unstable run emits on its way there
@@ -726,14 +706,14 @@ def evolve(req: EvolveRequest) -> EvolveResult:
             mirror_final, bound = _mirror_final(req, samples, psi)
             path = "full" if mirror_final is None else "mirror"
         if path == "constant":
-            one = to_entry_rows(_step_maps(req, 0, 1, samples)).reshape(dim * dim, 1)
+            one = to_entry_rows(_step_maps(req, samples, 0, 1)).reshape(dim * dim, 1)
         if path != "mirror" or traj_states is not None:
             for lo in range(0, steps, _CHUNK):
                 hi = min(lo + _CHUNK, steps)
                 if path == "constant":
                     psi = _apply(_tree_power(one, hi - lo), psi[:, None])[:, 0]
                 else:
-                    u = _step_maps(req, lo, hi, samples)
+                    u = _step_maps(req, samples, lo, hi)
                     # the trajectory's states, the chunk's first included,
                     # are written straight into its storage
                     out = None if traj_states is None else traj_states[lo : hi + 1]

@@ -101,7 +101,6 @@ class TestTwoLevelHamiltonian:
         # must match through full propagation
         class SymmetricModel:
             dim = 2
-            gamma = 0.0
 
             def hamiltonian_batch(self, delta, omega_p, omega_s):
                 n = delta.shape[0]

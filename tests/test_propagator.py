@@ -547,9 +547,8 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def hamiltonian(req: EvolveRequest, t: np.ndarray) -> np.ndarray:
-    """H of req's run at instants t, negated for a time-reversed run."""
-    h = req.model.hamiltonian_batch(*propagator._controls(req, t))
-    return -h if req.time_reversed else h
+    """H of req's run at instants t."""
+    return req.model.hamiltonian_batch(*propagator._controls(req, t))
 
 
 def two_level_steps(kind, duration: float, steps: int, scale: float) -> np.ndarray:
@@ -727,6 +726,37 @@ class TestChainApply:
             assert np.array_equal(propagator._chain_apply(u, psi, out), [u[0] @ psi])
 
 
+class ReversedSchedule:
+    """A schedule sampled at T - t: its controls run backwards."""
+
+    def __init__(self, schedule: PulseSchedule):
+        self.schedule = schedule
+        self.duration = schedule.duration
+
+    def delta(self, t):
+        return self.schedule.delta(self.duration - t)
+
+    def pulses(self, t):
+        return self.schedule.pulses(self.duration - t)
+
+
+class NegatedModel:
+    """A model with its Hamiltonian negated."""
+
+    def __init__(self, model):
+        self.model = model
+        self.dim = model.dim
+
+    def hamiltonian_batch(self, delta, omega_p, omega_s):
+        return -self.model.hamiltonian_batch(delta, omega_p, omega_s)
+
+
+def backward(req: EvolveRequest) -> EvolveRequest:
+    """req's run backwards in time, -H sampled at T - t: for a Hermitian H it
+    undoes the forward run."""
+    return replace(req, model=NegatedModel(req.model), schedule=ReversedSchedule(req.schedule))
+
+
 def two_level_request(
     protocol=ScheduleKind.SIQUAD,
     duration=5.83 * TAU_PI,
@@ -772,7 +802,8 @@ class TestEvolveTwoLevel:
     def test_time_reversal_returns_initial(self):
         req = two_level_request(steps=20_000)
         forward = evolve(req)
-        back = evolve(replace(req, initial=forward.final, time_reversed=True))
+        back = evolve(replace(backward(req), initial=forward.final))
+        assert back.path == "mirror"
         assert np.linalg.norm(back.final.amplitudes - np.array([1.0, 0.0])) < 1e-7
 
     def test_trajectory_shape_and_endpoints(self):
@@ -883,7 +914,7 @@ def test_rk4_matches_sequential_oracle(make):
     "make, kernels",
     [
         pytest.param(two_level_request, set(), id="2x2"),
-        pytest.param(functools.partial(two_level_request, time_reversed=True), set(), id="2x2-reversed"),
+        pytest.param(lambda steps: backward(two_level_request(steps=steps)), set(), id="2x2-reversed"),
         pytest.param(functools.partial(lambda_request, GAMMA), {"_expm_decoupled"}, id="lambda-decay"),
         pytest.param(functools.partial(lambda_request, 0.0), {"_expm_decoupled"}, id="lambda"),
         pytest.param(
@@ -904,8 +935,9 @@ def test_step_maps_match_whole_chunk_exponential(monkeypatch, make, kernels, len
     dt = req.schedule.duration / req.steps
     mid = (np.arange(lo, lo + length) + 0.5) * dt
     expected = expm_small(-1j * dt * hamiltonian(req, mid))
+    samples = propagator._run_samples(req, req.steps)
     taken = spy_kernels(monkeypatch)
-    got = propagator._step_maps(req, lo, lo + length)
+    got = propagator._step_maps(req, samples, lo, lo + length)
     assert set(taken) == kernels
     # entry rows, which the product tree reads without a copy
     assert got.shape == expected.shape and np.moveaxis(got, 0, -1).flags.c_contiguous
@@ -1161,12 +1193,10 @@ def test_non_symmetric_hamiltonian_takes_full_path(monkeypatch):
     assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
 
 
-@pytest.mark.parametrize(
-    "change", [{"method": Method.RK4}, {"time_reversed": True}], ids=["rk4", "time-reversed"]
-)
 @pytest.mark.parametrize("protocol", [ScheduleKind.SIQUAD, ScheduleKind.FLAT_PI])
-def test_rk4_and_time_reversal_look_for_no_structure(protocol, change):
-    result = evolve(two_level_request(protocol, TWO_LEVEL_T[protocol], steps=4000, **change))
+def test_rk4_looks_for_no_structure(protocol):
+    req = two_level_request(protocol, TWO_LEVEL_T[protocol], steps=4000, method=Method.RK4)
+    result = evolve(req)
     assert result.path == "full" and result.mirror_bound is None
 
 
@@ -1247,9 +1277,14 @@ def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
             functools.partial(lambda_request, GAMMA, 2 * propagator._CHUNK + 3),
             id="lambda-siquad-2chunks+3",
         ),
+        pytest.param(
+            functools.partial(two_level_request, steps=propagator._CHUNK + 5, method=Method.RK4),
+            id="rk4-chunk+5",
+        ),
     ],
 )
 def test_controls_sampled_once_per_step(monkeypatch, make):
+    # at each step's midpoint, for RK4 at each of the 2 N + 1 half steps
     sampled = []
     original = propagator._controls
 
@@ -1260,7 +1295,32 @@ def test_controls_sampled_once_per_step(monkeypatch, make):
     monkeypatch.setattr(propagator, "_controls", counted)
     req = make()
     evolve(req)
-    assert sum(sampled) == req.steps
+    assert sum(sampled) == (2 * req.steps + 1 if req.method is Method.RK4 else req.steps)
+
+
+@pytest.mark.parametrize(
+    "method", [Method.PIECEWISE_EXPM, Method.RK4], ids=["midpoints", "rk4-half-steps"]
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(
+            pytest.param(functools.partial(two_level_request, kind, TWO_LEVEL_T[kind]), id=kind.value)
+            for kind in TWO_LEVEL_T
+        ),
+        pytest.param(functools.partial(stirap_request, GAMMA), id="stirap"),
+    ],
+)
+def test_run_samples_do_not_depend_on_chunking(make, method):
+    # _run_samples takes _CHUNK instants at a time: the same bits as one
+    # _controls call on every instant of the run
+    steps = 2 * propagator._CHUNK + 3
+    req = make(steps=steps, method=method)
+    dt = req.schedule.duration / steps
+    k = np.arange(2 * steps + 1 if method is Method.RK4 else steps)
+    t = k * (0.5 * dt) if method is Method.RK4 else (k + 0.5) * dt
+    expected = np.array(propagator._controls(req, t))
+    assert propagator._run_samples(req, steps).tobytes() == expected.tobytes()
 
 
 class TestEvolveWithDecay:
@@ -1309,7 +1369,6 @@ class TestEvolveWithDecay:
     def test_growth_aborts(self):
         class GrowingModel:
             dim = 2
-            gamma = 1.0  # H is not Hermitian: time reversal is refused
 
             def hamiltonian_batch(self, delta, omega_p, omega_s):
                 h = np.zeros((delta.shape[0], 2, 2), dtype=complex)
@@ -1345,10 +1404,6 @@ class TestEvolveWithDecay:
                     method=Method.RK4,
                 )
             )
-
-    def test_time_reversal_rejected_with_decay(self):
-        with pytest.raises(ValueError):
-            evolve(toy_lambda_request(time_reversed=True))
 
 
 class TestConvergenceProbe:
