@@ -13,13 +13,15 @@ Two fixed-step methods:
                     that level split off exactly, so its phase takes no
                     squarings either (see expm_small).  Steps run in
                     chunks of _CHUNK: H, -i H dt and the exponential are
-                    formed in cache-sized blocks straight into the chunk's
-                    maps (_step_maps), so a run that forms every map and
-                    stores no trajectory peaks at about 1.8 chunks of maps
-                    (tracemalloc), plus its samples.  One
-                    pairwise product tree per chunk gives the final state
-                    and, for a stored trajectory, every state on the way,
-                    written straight into the trajectory's storage; storing
+                    formed in cache-sized blocks (_step_maps).  One
+                    pairwise product tree per chunk gives the final state.
+                    A run that stores no trajectory streams the chunk
+                    through sub-chunks whose maps fit in cache (_chunk_root),
+                    so it never holds a chunk of maps: it peaks at 0.78
+                    chunks of maps at two Lambda chunks (tracemalloc),
+                    mostly its samples.  A stored trajectory forms each
+                    chunk's maps whole, and the tree writes every state on
+                    the way straight into the trajectory's storage; storing
                     one changes no reported number.
     RK4             classical 4th-order on dpsi/dt = -i H(t) psi, kept for
                     cross-validation: one matrix per step, formed in the same
@@ -49,10 +51,11 @@ where its samples prove one; no option selects it:
     full      RK4, which looks for no structure, and every run the samples
               refute: each step's map is formed and applied.
 
-A mirror run of one chunk peaks at 1.3 chunks of maps (two-level) and 1.06
-(Lambda), one of two chunks at 2.6 and 2.1 (tracemalloc, samples included).
-A stored trajectory still takes every map; on a mirror run its last state is
-the mirror's final state.
+A mirror run streams its first half's chunks the same way.  It peaks at
+1.28 chunks of maps (two-level, whose 32 768-step half is one sub-chunk) at
+one chunk and 1.75 at two (tracemalloc, samples included).  A stored
+trajectory still takes every map; on a mirror run its last state is the
+mirror's final state.
 
 Propagation is deterministic: identical requests give bit-identical results.
 """
@@ -79,6 +82,11 @@ _NORM_ABORT = 1e-6
 # core) 2048 and 4096 timed within 10 % of each other for the Taylor kernel,
 # 512 and 16384 about 50 % slower
 _BLOCK = 2048
+# bytes of step maps per sub-chunk: _chunk_root forms a chunk's maps the
+# largest power of two of steps at a time whose (n, n, steps) complex maps fit
+# in 2 MiB, one core's L2 on a 2-core Xeon: 32 768 steps for 2x2, 8192 for
+# 3x3, so the product tree reads them from cache, not from memory
+_SUB_CHUNK_BYTES = 2**21
 # a mirror run may move its answer by at most this from the full path's (see
 # _mirror_final): sum over the first half of dt ||E_j||, which bounds the
 # change for products of contractions, so for gamma > 0 too.  The Lambda
@@ -470,10 +478,9 @@ def _unitarize(u: np.ndarray) -> np.ndarray:
     return from_entry_rows(out.reshape(n, n, -1))
 
 
-def _chain_apply(u: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows U[k] @ ... @ U[0] @ psi: the last, or with `out`, a (k + 2, n)
-    array, every one, written in place to out[1:] (and psi to out[0]) and
-    returned as that view.
+def _chain_apply(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows U[k] @ ... @ U[0] @ psi, every one: written in place to out[1:],
+    a (k + 2, n) array (and psi to out[0]), and returned as that view.
 
     One pairwise tree, a Blelloch scan.  Up (_up_sweep): level l + 1
     multiplies pairs of level l and carries an odd last map; root @ psi is
@@ -482,8 +489,6 @@ def _chain_apply(u: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) 
     rest came from above."""
     n = u.shape[-1]
     rows = to_entry_rows(u).reshape(n * n, -1)
-    if out is None:
-        return _apply(_up_sweep(rows), psi[:, None]).T
     levels = [rows]
     _up_sweep(rows, levels)
     states = out.T
@@ -495,10 +500,12 @@ def _chain_apply(u: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) 
     return states[:, 1:].T
 
 
-def _up_sweep(m: np.ndarray, levels: list | None = None) -> np.ndarray:
-    # the root, as (n*n, 1) rows, of the product tree over the (n*n, k) maps
-    # m; every level above m is appended to `levels` when given
-    while m.shape[-1] > 1:
+def _up_sweep(m: np.ndarray, levels: list | None = None, depth: float = math.inf) -> np.ndarray:
+    # the product tree over the (n*n, k) maps m, up to its root, as (n*n, 1)
+    # rows, or its members `depth` levels above m; every level above m is
+    # appended to `levels` when given
+    while m.shape[-1] > 1 and depth > 0:
+        depth -= 1
         count = m.shape[-1]
         even = (count // 2) * 2
         paired = _mul(m[:, 1:even:2], m[:, 0:even:2])
@@ -584,9 +591,10 @@ def _step_maps(
     `samples` are the run's controls from step 0 (_run_samples).  The
     Hamiltonian, -i H dt and the maps are formed _BLOCK steps at a time, so
     their temporaries stay in cache, and each block's maps are written into
-    the one output array.  `check(h, j0, j1)`, when given, sees the H of
-    steps j0 to j1 - 1 before their maps are formed; once it returns False
-    no more maps are formed and None is returned."""
+    the one output array.  Called on a sub-chunk by _chunk_root, on a whole
+    chunk only for a stored trajectory.  `check(h, j0, j1)`, when given,
+    sees the H of steps j0 to j1 - 1 before their maps are formed; once it
+    returns False no more maps are formed and None is returned."""
     n = req.model.dim
     dt = req.schedule.duration / resolve_steps(req.steps, n)
     maps = np.empty((n, n, hi - lo), dtype=complex)
@@ -601,6 +609,44 @@ def _step_maps(
             return None
         maps[..., b - lo : end - lo] = np.moveaxis(form(-1j * dt * h), 0, -1)
     return from_entry_rows(maps)
+
+
+def _sub_chunk(n: int) -> int:
+    # steps per sub-chunk of n x n maps: the largest power of two whose maps
+    # fit in _SUB_CHUNK_BYTES; for 2x2 and 3x3 a multiple of _BLOCK that
+    # divides _CHUNK, so a sub-chunk's blocks are its chunk's
+    return 1 << ((_SUB_CHUNK_BYTES // (16 * n * n)).bit_length() - 1)
+
+
+def _chunk_root(
+    req: EvolveRequest, samples: np.ndarray, lo: int, hi: int, check=None
+) -> np.ndarray | None:
+    """The root of the product tree over the maps of steps lo to hi - 1, as
+    (n*n, 1) rows, bitwise what _up_sweep forms from _step_maps(req,
+    samples, lo, hi), without holding those maps: they are formed
+    _sub_chunk(n) = S steps at a time, and each sub-chunk's tree is taken
+    log2(S) - 3 levels up before the next one is formed.
+
+    S is a power of two and each sub-chunk starts S steps after the last, so
+    up to level log2(S) the members of the whole range's tree are those of
+    the sub-chunks' own trees: no full sub-chunk carries an odd member
+    before that level, and the last one, stopped by depth rather than by
+    count, joins at the right level.  The sub-chunks' members at that depth,
+    8 per full sub-chunk, are concatenated and the tree is finished once for
+    the range, so its small, overhead-bound top levels run once per range,
+    not once per sub-chunk.  `check` is _step_maps'; None is returned once
+    it refutes a block."""
+    n = req.model.dim
+    size = _sub_chunk(n)
+    depth = size.bit_length() - 4
+    members = []
+    for b in range(lo, hi, size):
+        u = _step_maps(req, samples, b, min(b + size, hi), check)
+        if u is None:
+            return None
+        members.append(_up_sweep(to_entry_rows(u).reshape(n * n, -1), depth=depth))
+        del u  # freed before the next sub-chunk's maps are formed
+    return _up_sweep(np.concatenate(members, axis=-1))
 
 
 def _structure(req: EvolveRequest, samples) -> str:
@@ -627,8 +673,10 @@ def _mirror_final(req: EvolveRequest, samples, psi: np.ndarray) -> tuple[np.ndar
     formed.  Up to E_j, U_{N-1-j} = e^(-i c_j dt) Pi U_j Pi, and U_j^T = U_j
     for complex symmetric H_j, so the second half's product is
     e^(-i dt sum c_j) Pi P^T Pi, with P = U_{N/2-1} ... U_0 the root of each
-    chunk's tree, multiplied across chunks.  The final state is
-    e^(-i dt sum c_j) Pi P^T Pi [M] P psi, M the middle map of an odd N."""
+    chunk's tree (_chunk_root, which streams the chunk through cache-sized
+    sub-chunks and runs `check` on their blocks in order), multiplied across
+    chunks.  The final state is e^(-i dt sum c_j) Pi P^T Pi [M] P psi, M the
+    middle map of an odd N."""
     n = req.model.dim
     steps = len(samples[0])
     half = steps // 2
@@ -657,11 +705,9 @@ def _mirror_final(req: EvolveRequest, samples, psi: np.ndarray) -> tuple[np.ndar
 
     p = None
     for lo in range(0, half, _CHUNK):
-        u = _step_maps(req, samples, lo, min(lo + _CHUNK, half), check)
-        if u is None:
+        root = _chunk_root(req, samples, lo, min(lo + _CHUNK, half), check)
+        if root is None:
             return None, bound
-        root = _up_sweep(to_entry_rows(u).reshape(n * n, -1))
-        del u  # freed before the next chunk's maps are built
         p = root if p is None else _mul(root, p)
     v = _apply(p, psi[:, None])
     if steps % 2:
@@ -678,13 +724,15 @@ def evolve(req: EvolveRequest) -> EvolveResult:
     none): "constant" raises the one step map per chunk (_tree_power);
     "mirror" is proved block by block while the first half's maps are formed
     (_mirror_final), and a run it refutes falls back to the full path.  The
-    full path is one loop over chunks of _CHUNK steps: _step_maps forms a
-    chunk's maps and one product tree (_chain_apply) applies them and writes
-    every state of a stored trajectory, then the state is checked.  A stored
-    trajectory always takes the full path; on a mirror run its last state is
-    then the mirror's, so storing one changes no reported number.  Raises
-    ValueError for a bad request (dimension, steps < MIN_STEPS, unknown
-    method) and IntegrationError for non-finite amplitudes or norm growth."""
+    full path is one loop over chunks of _CHUNK steps, each applied by its
+    product tree and then the state checked.  Without a stored trajectory
+    _chunk_root forms the chunk's root from cache-sized sub-chunks, so no
+    chunk of maps is held; with one, _step_maps forms the chunk's maps and
+    _chain_apply writes every state on the way.  A stored trajectory always
+    takes the full path; on a mirror run its last state is then the
+    mirror's, so storing one changes no reported number.  Raises ValueError
+    for a bad request (dimension, steps < MIN_STEPS, unknown method) and
+    IntegrationError for non-finite amplitudes or norm growth."""
     dim = req.model.dim
     if req.initial.dim != dim:
         raise ValueError(f"state dimension {req.initial.dim} != model dimension {dim}")
@@ -712,12 +760,13 @@ def evolve(req: EvolveRequest) -> EvolveResult:
                 hi = min(lo + _CHUNK, steps)
                 if path == "constant":
                     psi = _apply(_tree_power(one, hi - lo), psi[:, None])[:, 0]
+                elif traj_states is None:
+                    psi = _apply(_chunk_root(req, samples, lo, hi), psi[:, None])[:, 0]
                 else:
-                    u = _step_maps(req, samples, lo, hi)
                     # the trajectory's states, the chunk's first included,
                     # are written straight into its storage
-                    out = None if traj_states is None else traj_states[lo : hi + 1]
-                    psi = _chain_apply(u, psi, out)[-1].copy()
+                    u = _step_maps(req, samples, lo, hi)
+                    psi = _chain_apply(u, psi, traj_states[lo : hi + 1])[-1].copy()
                     del u  # freed before the next chunk's maps are built
                 final_norm_sq = _check_state(psi)
         if path == "mirror":

@@ -38,7 +38,7 @@ from quadsim import (
 )
 from quadsim import propagator
 from quadsim.config import load_config, preset_names
-from quadsim.core_model import from_entry_rows
+from quadsim.core_model import from_entry_rows, to_entry_rows
 
 from conftest import DELTA_BIG, DELTA_M, GAMMA, OMEGA0, OMEGA_M, TAU_PI
 
@@ -712,7 +712,9 @@ class TestChainApply:
         assert np.array_equal(out[0], psi) and np.array_equal(out[1:], every)
         err = np.linalg.norm(every - expected, axis=1)
         assert np.all(err <= 1e-13 * np.linalg.norm(expected, axis=1))
-        assert np.array_equal(propagator._chain_apply(u, psi), every[-1:])
+        rows = to_entry_rows(u).reshape(dim * dim, -1)
+        root_state = propagator._apply(propagator._up_sweep(rows), psi[:, None]).T
+        assert np.array_equal(root_state, every[-1:])
 
     def test_single_map_takes_no_product(self, monkeypatch):
         u = random_maps(3, 1, False, seed=0)
@@ -722,8 +724,8 @@ class TestChainApply:
             raise AssertionError("a single map needs no pairwise product")
 
         monkeypatch.setattr(propagator, "_mul", no_product)
-        for out in (None, np.empty((2, 3), dtype=complex)):
-            assert np.array_equal(propagator._chain_apply(u, psi, out), [u[0] @ psi])
+        out = np.empty((2, 3), dtype=complex)
+        assert np.array_equal(propagator._chain_apply(u, psi, out), [u[0] @ psi])
 
 
 class ReversedSchedule:
@@ -1323,6 +1325,114 @@ def test_run_samples_do_not_depend_on_chunking(make, method):
     assert propagator._run_samples(req, steps).tobytes() == expected.tobytes()
 
 
+def whole_chunk_root(req, samples, lo, hi, check=None):
+    """Oracle for _chunk_root: every map of steps lo to hi - 1 formed at
+    once, then the product tree over all of them."""
+    u = propagator._step_maps(req, samples, lo, hi, check)
+    if u is None:
+        return None
+    n = req.model.dim
+    return propagator._up_sweep(to_entry_rows(u).reshape(n * n, -1))
+
+
+SUB_CHUNK_LENGTHS = {
+    "1": lambda size: 1,
+    "block+3": lambda size: propagator._BLOCK + 3,
+    "S-1": lambda size: size - 1,
+    "S": lambda size: size,
+    "S+1": lambda size: size + 1,
+    "3S+5": lambda size: 3 * size + 5,
+    "chunk": lambda size: propagator._CHUNK,
+}
+
+
+@pytest.mark.parametrize("length", SUB_CHUNK_LENGTHS.values(), ids=SUB_CHUNK_LENGTHS.keys())
+@pytest.mark.parametrize("dim", [2, 3])
+def test_chunk_root_matches_whole_tree(monkeypatch, dim, length):
+    # S = 32 768 steps of 2x2 and 8192 of 3x3 maps; the streamed root has the
+    # whole range's tree's bits, and no more than S maps are formed at once
+    size = propagator._sub_chunk(dim)
+    assert size == {2: 32768, 3: 8192}[dim]
+    hi = length(size)
+    steps = max(hi, propagator._CHUNK)
+    req = two_level_request(steps=steps) if dim == 2 else lambda_request(GAMMA, steps)
+    samples = propagator._run_samples(req, steps)
+    expected = whole_chunk_root(req, samples, 0, hi)
+    formed = []
+    original = propagator._step_maps
+
+    def counted(req, samples, lo, hi, check=None):
+        formed.append(hi - lo)
+        return original(req, samples, lo, hi, check)
+
+    monkeypatch.setattr(propagator, "_step_maps", counted)
+    got = propagator._chunk_root(req, samples, 0, hi)
+    assert got.shape == (dim * dim, 1)
+    assert got.tobytes() == expected.tobytes()
+    assert sum(formed) == hi and max(formed) <= size
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [
+        (functools.partial(lambda_request, GAMMA, 2 * propagator._CHUNK + 3), "full"),
+        (functools.partial(stirap_request, GAMMA, 2 * propagator._CHUNK + 3), "mirror"),
+    ],
+    ids=["lambda-siquad", "lambda-stirap"],
+)
+def test_streamed_roots_keep_every_bit(monkeypatch, make, path):
+    req = make()
+    got = evolve(req)
+    with monkeypatch.context() as m:
+        m.setattr(propagator, "_chunk_root", whole_chunk_root)
+        expected = evolve(req)
+    assert got.path == expected.path == path
+    assert got.mirror_bound == expected.mirror_bound
+    assert got.final.amplitudes.tobytes() == expected.final.amplitudes.tobytes()
+    assert got.final_norm_sq == expected.final_norm_sq
+
+
+class CountingModel:
+    """A model that records the length of every Hamiltonian batch it builds."""
+
+    def __init__(self, model):
+        self.model = model
+        self.dim = model.dim
+        self.batches = []
+
+    def hamiltonian_batch(self, delta, omega_p, omega_s):
+        self.batches.append(len(delta))
+        return self.model.hamiltonian_batch(delta, omega_p, omega_s)
+
+
+@pytest.mark.parametrize(
+    "make", [two_level_request, functools.partial(stirap_request, GAMMA)], ids=["two-level", "stirap"]
+)
+def test_refuted_mirror_stops_at_the_same_block(monkeypatch, make):
+    # one step of the second half is detuned, so its pair j, in the first
+    # half's second sub-chunk, refutes the mirror: the streamed and the whole
+    # chunk stop at j's block with the same bound
+    steps = 2 * propagator._CHUNK + 3
+    req = make(steps=steps)
+    j = propagator._sub_chunk(req.model.dim) + 3 * propagator._BLOCK + 7
+    samples = propagator._run_samples(req, steps)
+    samples[0, steps - 1 - j] += 1e-3 * OMEGA_M
+    psi = np.array(req.initial.amplitudes, dtype=complex)
+
+    def refuted(root):
+        counting = CountingModel(req.model)
+        with monkeypatch.context() as m:
+            m.setattr(propagator, "_chunk_root", root)
+            final, bound = propagator._mirror_final(replace(req, model=counting), samples, psi)
+        assert final is None and bound > propagator._MIRROR_TOL
+        return bound, counting.batches
+
+    bound, batches = refuted(propagator._chunk_root)
+    assert (bound, batches) == refuted(whole_chunk_root)
+    # each block builds its own H and its mirror's
+    assert batches == [propagator._BLOCK] * 2 * (j // propagator._BLOCK + 1)
+
+
 class TestEvolveWithDecay:
     def test_bare_excited_state_decays_exponentially(self):
         gamma = 2 * math.pi * 5.6e6
@@ -1527,20 +1637,23 @@ def peak_in_chunks(run: RunSpec, duration: float = 2.85e-3, **kwargs) -> float:
 
 @pytest.mark.parametrize("steps", [propagator._CHUNK, 2 * propagator._CHUNK])
 def test_lambda_chunk_peak_memory(lambda_params, steps):
-    # one chunk of step maps is the unit: the step exponential holds its input
-    # and output plus cache-sized blocks, and a copy of the whole chunk, or
-    # the previous chunk's maps kept alive, would cross the bound
+    # one chunk of step maps is the unit: a run that stores no trajectory
+    # forms 8192 maps at a time and holds its samples, 0.56 chunks at one
+    # chunk and 0.78 at two; any chunk-sized array of maps would cross the
+    # bound
     run = RunSpec(lambda_params, delta_m=DELTA_M, steps=steps)
-    assert peak_in_chunks(run) <= 2.6
+    assert peak_in_chunks(run) <= 1.0
 
 
 @pytest.mark.parametrize("steps", [propagator._CHUNK, 2 * propagator._CHUNK])
 def test_two_level_chunk_peak_memory(two_level_params, steps):
-    # the same unit and bound for (chunk, 2, 2) maps: they are built block by
-    # block into one chunk-sized array, so a chunk-sized Hamiltonian, -i H dt
-    # or closed-form temporary beside them would cross the bound
+    # the same unit for (chunk, 2, 2) maps: a mirror run forms its first
+    # half 32 768 maps at a time, 1.28 chunks at one chunk and 1.75 at two,
+    # samples included (24 bytes a step, 0.75 chunks at two); forming a half
+    # chunk's maps at once, as a two-chunk run did before, would cross the
+    # bound
     run = RunSpec(two_level_params, delta_m=DELTA_M, steps=steps)
-    assert peak_in_chunks(run, 5.83 * TAU_PI) <= 2.6
+    assert peak_in_chunks(run, 5.83 * TAU_PI) <= 2.0
 
 
 def trajectory_csv_peak(rows: int) -> int:
