@@ -12,17 +12,14 @@ Two fixed-step methods:
                     excited level dominates, as every Lambda step does, has
                     that level split off exactly, so its phase takes no
                     squarings either (see expm_small).  Steps run in
-                    chunks of _CHUNK: H, -i H dt and the exponential are
-                    formed in cache-sized blocks (_step_maps).  One
-                    pairwise product tree per chunk gives the final state.
-                    A run that stores no trajectory streams the chunk
-                    through sub-chunks whose maps fit in cache (_chunk_root),
-                    so it never holds a chunk of maps: it peaks at 0.78
-                    chunks of maps at two Lambda chunks (tracemalloc),
-                    mostly its samples.  A stored trajectory forms each
-                    chunk's maps whole, and the tree writes every state on
-                    the way straight into the trajectory's storage; storing
-                    one changes no reported number.
+                    chunks whose maps fit in 2 MiB of cache (_chunk: 32 768
+                    two-level steps, 8192 Lambda steps): H, -i H dt and the
+                    exponential are formed in cache-sized blocks
+                    (_step_maps), and the root of one pairwise product tree
+                    per chunk is applied to the state.  With a stored
+                    trajectory the same tree writes every state on the way
+                    straight into the trajectory's storage; storing one
+                    changes no reported number.
     RK4             classical 4th-order on dpsi/dt = -i H(t) psi, kept for
                     cross-validation: one matrix per step, formed in the same
                     blocks and applied by the same product tree.  It must
@@ -51,11 +48,10 @@ where its samples prove one; no option selects it:
     full      RK4, which looks for no structure, and every run the samples
               refute: each step's map is formed and applied.
 
-A mirror run streams its first half's chunks the same way.  It peaks at
-1.28 chunks of maps (two-level, whose 32 768-step half is one sub-chunk) at
-one chunk and 1.75 at two (tracemalloc, samples included).  A stored
-trajectory still takes every map; on a mirror run its last state is the
-mirror's final state.
+A mirror run forms its first half in the same chunks.  No run holds more
+than one chunk of maps; the samples are the largest part of a long run.  A
+stored trajectory still takes every map; on a mirror run its last state is
+the mirror's final state.
 
 Propagation is deterministic: identical requests give bit-identical results.
 """
@@ -73,7 +69,6 @@ from ._csvfloat import render_rows
 from .core_model import QuantumState, from_entry_rows, to_entry_rows
 from .schedules import PulseSchedule
 
-_CHUNK = 65536
 _NORM_ABORT = 1e-6
 # steps per cache-sized block: _step_maps builds a chunk's maps _BLOCK steps
 # at a time, and the 3x3 kernels and the polish take any longer batch _BLOCK
@@ -82,11 +77,6 @@ _NORM_ABORT = 1e-6
 # core) 2048 and 4096 timed within 10 % of each other for the Taylor kernel,
 # 512 and 16384 about 50 % slower
 _BLOCK = 2048
-# bytes of step maps per sub-chunk: _chunk_root forms a chunk's maps the
-# largest power of two of steps at a time whose (n, n, steps) complex maps fit
-# in 2 MiB, one core's L2 on a 2-core Xeon: 32 768 steps for 2x2, 8192 for
-# 3x3, so the product tree reads them from cache, not from memory
-_SUB_CHUNK_BYTES = 2**21
 # a mirror run may move its answer by at most this from the full path's (see
 # _mirror_final): sum over the first half of dt ||E_j||, which bounds the
 # change for products of contractions, so for gamma > 0 too.  The Lambda
@@ -478,17 +468,16 @@ def _unitarize(u: np.ndarray) -> np.ndarray:
     return from_entry_rows(out.reshape(n, n, -1))
 
 
-def _chain_apply(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Rows U[k] @ ... @ U[0] @ psi, every one: written in place to out[1:],
-    a (k + 2, n) array (and psi to out[0]), and returned as that view.
+def _chain_apply(rows: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows U[k] @ ... @ U[0] @ psi, every one, for the maps U held in the
+    (n*n, k + 1) entry rows `rows`: written in place to out[1:], a (k + 2, n)
+    array (and psi to out[0]), and returned as that view.
 
     One pairwise tree, a Blelloch scan.  Up (_up_sweep): level l + 1
     multiplies pairs of level l and carries an odd last map; root @ psi is
     the last state.  Down: member 2j of level l takes column 2j*2**l of
     `states` to (2j+1)*2**l, where column k + 1 is the state after map k; the
     rest came from above."""
-    n = u.shape[-1]
-    rows = to_entry_rows(u).reshape(n * n, -1)
     levels = [rows]
     _up_sweep(rows, levels)
     states = out.T
@@ -500,12 +489,10 @@ def _chain_apply(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     return states[:, 1:].T
 
 
-def _up_sweep(m: np.ndarray, levels: list | None = None, depth: float = math.inf) -> np.ndarray:
+def _up_sweep(m: np.ndarray, levels: list | None = None) -> np.ndarray:
     # the product tree over the (n*n, k) maps m, up to its root, as (n*n, 1)
-    # rows, or its members `depth` levels above m; every level above m is
-    # appended to `levels` when given
-    while m.shape[-1] > 1 and depth > 0:
-        depth -= 1
+    # rows; every level above m is appended to `levels` when given
+    while m.shape[-1] > 1:
         count = m.shape[-1]
         even = (count // 2) * 2
         paired = _mul(m[:, 1:even:2], m[:, 0:even:2])
@@ -564,20 +551,29 @@ def _rk4_step(a: np.ndarray) -> np.ndarray:
     return np.eye(a.shape[-1]) + (a0 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
+def _chunk(n: int) -> int:
+    # steps per chunk of n x n maps: the largest power of two whose complex
+    # maps fit in 2 MiB, one core's L2 on a 2-core Xeon, so the product tree
+    # reads them from cache: 32 768 steps for 2x2, 8192 for 3x3, both
+    # multiples of _BLOCK
+    return 1 << ((2**21 // (16 * n * n)).bit_length() - 1)
+
+
 def _run_samples(req: EvolveRequest, steps: int) -> np.ndarray:
     """The controls (delta, omega_p, omega_s) of the whole run as (3, m) rows:
     at each step's midpoint, m = steps, or for RK4 at every half step, m =
-    2 steps + 1.  Each instant is sampled once, _CHUNK instants at a time so
-    the sampling temporaries stay chunk-sized; a sample does not depend on
-    the range it is taken in."""
+    2 steps + 1.  Each instant is sampled once, a chunk's count of instants
+    at a time so the sampling temporaries stay chunk-sized; a sample does not
+    depend on the range it is taken in."""
     dt = req.schedule.duration / steps
     rk4 = req.method is Method.RK4
     count = 2 * steps + 1 if rk4 else steps
+    chunk = _chunk(req.model.dim)
     out = np.empty((3, count))
-    for lo in range(0, count, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, count))
+    for lo in range(0, count, chunk):
+        k = np.arange(lo, min(lo + chunk, count))
         t = k * (0.5 * dt) if rk4 else (k + 0.5) * dt
-        for row, x in zip(out[:, lo : lo + _CHUNK], _controls(req, t)):
+        for row, x in zip(out[:, lo : lo + chunk], _controls(req, t)):
             row[...] = x
     return out
 
@@ -586,15 +582,15 @@ def _step_maps(
     req: EvolveRequest, samples: np.ndarray, lo: int, hi: int, check=None
 ) -> np.ndarray | None:
     """The maps of steps lo to hi - 1, exp(-i H dt) or RK4 step matrices, as
-    (hi - lo, n, n) matrices held in entry rows (core_model.from_entry_rows).
+    (n*n, hi - lo) entry rows, the layout the product tree reads.
 
     `samples` are the run's controls from step 0 (_run_samples).  The
     Hamiltonian, -i H dt and the maps are formed _BLOCK steps at a time, so
     their temporaries stay in cache, and each block's maps are written into
-    the one output array.  Called on a sub-chunk by _chunk_root, on a whole
-    chunk only for a stored trajectory.  `check(h, j0, j1)`, when given,
-    sees the H of steps j0 to j1 - 1 before their maps are formed; once it
-    returns False no more maps are formed and None is returned."""
+    the one output array.  Called on at most one chunk (_chunk) at a time.
+    `check(h, j0, j1)`, when given, sees the H of steps j0 to j1 - 1 before
+    their maps are formed; once it returns False no more maps are formed and
+    None is returned."""
     n = req.model.dim
     dt = req.schedule.duration / resolve_steps(req.steps, n)
     maps = np.empty((n, n, hi - lo), dtype=complex)
@@ -608,45 +604,7 @@ def _step_maps(
         if check is not None and not check(h, b, end):
             return None
         maps[..., b - lo : end - lo] = np.moveaxis(form(-1j * dt * h), 0, -1)
-    return from_entry_rows(maps)
-
-
-def _sub_chunk(n: int) -> int:
-    # steps per sub-chunk of n x n maps: the largest power of two whose maps
-    # fit in _SUB_CHUNK_BYTES; for 2x2 and 3x3 a multiple of _BLOCK that
-    # divides _CHUNK, so a sub-chunk's blocks are its chunk's
-    return 1 << ((_SUB_CHUNK_BYTES // (16 * n * n)).bit_length() - 1)
-
-
-def _chunk_root(
-    req: EvolveRequest, samples: np.ndarray, lo: int, hi: int, check=None
-) -> np.ndarray | None:
-    """The root of the product tree over the maps of steps lo to hi - 1, as
-    (n*n, 1) rows, bitwise what _up_sweep forms from _step_maps(req,
-    samples, lo, hi), without holding those maps: they are formed
-    _sub_chunk(n) = S steps at a time, and each sub-chunk's tree is taken
-    log2(S) - 3 levels up before the next one is formed.
-
-    S is a power of two and each sub-chunk starts S steps after the last, so
-    up to level log2(S) the members of the whole range's tree are those of
-    the sub-chunks' own trees: no full sub-chunk carries an odd member
-    before that level, and the last one, stopped by depth rather than by
-    count, joins at the right level.  The sub-chunks' members at that depth,
-    8 per full sub-chunk, are concatenated and the tree is finished once for
-    the range, so its small, overhead-bound top levels run once per range,
-    not once per sub-chunk.  `check` is _step_maps'; None is returned once
-    it refutes a block."""
-    n = req.model.dim
-    size = _sub_chunk(n)
-    depth = size.bit_length() - 4
-    members = []
-    for b in range(lo, hi, size):
-        u = _step_maps(req, samples, b, min(b + size, hi), check)
-        if u is None:
-            return None
-        members.append(_up_sweep(to_entry_rows(u).reshape(n * n, -1), depth=depth))
-        del u  # freed before the next sub-chunk's maps are formed
-    return _up_sweep(np.concatenate(members, axis=-1))
+    return maps.reshape(n * n, -1)
 
 
 def _structure(req: EvolveRequest, samples) -> str:
@@ -673,10 +631,9 @@ def _mirror_final(req: EvolveRequest, samples, psi: np.ndarray) -> tuple[np.ndar
     formed.  Up to E_j, U_{N-1-j} = e^(-i c_j dt) Pi U_j Pi, and U_j^T = U_j
     for complex symmetric H_j, so the second half's product is
     e^(-i dt sum c_j) Pi P^T Pi, with P = U_{N/2-1} ... U_0 the root of each
-    chunk's tree (_chunk_root, which streams the chunk through cache-sized
-    sub-chunks and runs `check` on their blocks in order), multiplied across
-    chunks.  The final state is e^(-i dt sum c_j) Pi P^T Pi [M] P psi, M the
-    middle map of an odd N."""
+    chunk's tree (_chunk), multiplied across chunks; each chunk's maps are
+    freed before the next chunk's are formed.  The final state is
+    e^(-i dt sum c_j) Pi P^T Pi [M] P psi, M the middle map of an odd N."""
     n = req.model.dim
     steps = len(samples[0])
     half = steps // 2
@@ -703,15 +660,17 @@ def _mirror_final(req: EvolveRequest, samples, psi: np.ndarray) -> tuple[np.ndar
         c_sum += c.sum()
         return bound <= _MIRROR_TOL
 
-    p = None
-    for lo in range(0, half, _CHUNK):
-        root = _chunk_root(req, samples, lo, min(lo + _CHUNK, half), check)
-        if root is None:
+    p, chunk = None, _chunk(n)
+    for lo in range(0, half, chunk):
+        u = _step_maps(req, samples, lo, min(lo + chunk, half), check)
+        if u is None:
             return None, bound
+        root = _up_sweep(u)
+        del u  # freed before the next chunk's maps are formed
         p = root if p is None else _mul(root, p)
     v = _apply(p, psi[:, None])
     if steps % 2:
-        v = _apply(to_entry_rows(_step_maps(req, samples, half, half + 1)).reshape(n * n, 1), v)
+        v = _apply(_step_maps(req, samples, half, half + 1), v)
     # (Pi P^T Pi)_ij = P_{swap j, swap i}
     q = p[[swap[j] * n + swap[i] for i in range(n) for j in range(n)]]
     return np.exp(-1j * dt * c_sum) * _apply(q, v)[:, 0], bound
@@ -724,15 +683,15 @@ def evolve(req: EvolveRequest) -> EvolveResult:
     none): "constant" raises the one step map per chunk (_tree_power);
     "mirror" is proved block by block while the first half's maps are formed
     (_mirror_final), and a run it refutes falls back to the full path.  The
-    full path is one loop over chunks of _CHUNK steps, each applied by its
-    product tree and then the state checked.  Without a stored trajectory
-    _chunk_root forms the chunk's root from cache-sized sub-chunks, so no
-    chunk of maps is held; with one, _step_maps forms the chunk's maps and
-    _chain_apply writes every state on the way.  A stored trajectory always
-    takes the full path; on a mirror run its last state is then the
-    mirror's, so storing one changes no reported number.  Raises ValueError
-    for a bad request (dimension, steps < MIN_STEPS, unknown method) and
-    IntegrationError for non-finite amplitudes or norm growth."""
+    full path is one loop over cache-sized chunks (_chunk): _step_maps forms
+    a chunk's maps, the root of their product tree is applied, or with a
+    stored trajectory _chain_apply writes every state on the way, and the
+    state is checked; the maps are freed before the next chunk's are formed.
+    A stored trajectory always takes the full path; on a mirror run its last
+    state is then the mirror's, so storing one changes no reported number.
+    Raises ValueError for a bad request (dimension, steps < MIN_STEPS,
+    unknown method) and IntegrationError for non-finite amplitudes or norm
+    growth."""
     dim = req.model.dim
     if req.initial.dim != dim:
         raise ValueError(f"state dimension {req.initial.dim} != model dimension {dim}")
@@ -754,20 +713,21 @@ def evolve(req: EvolveRequest) -> EvolveResult:
             mirror_final, bound = _mirror_final(req, samples, psi)
             path = "full" if mirror_final is None else "mirror"
         if path == "constant":
-            one = to_entry_rows(_step_maps(req, samples, 0, 1)).reshape(dim * dim, 1)
+            one = _step_maps(req, samples, 0, 1)
         if path != "mirror" or traj_states is not None:
-            for lo in range(0, steps, _CHUNK):
-                hi = min(lo + _CHUNK, steps)
+            chunk = _chunk(dim)
+            for lo in range(0, steps, chunk):
+                hi = min(lo + chunk, steps)
                 if path == "constant":
                     psi = _apply(_tree_power(one, hi - lo), psi[:, None])[:, 0]
                 elif traj_states is None:
-                    psi = _apply(_chunk_root(req, samples, lo, hi), psi[:, None])[:, 0]
+                    psi = _apply(_up_sweep(_step_maps(req, samples, lo, hi)), psi[:, None])[:, 0]
                 else:
                     # the trajectory's states, the chunk's first included,
                     # are written straight into its storage
                     u = _step_maps(req, samples, lo, hi)
                     psi = _chain_apply(u, psi, traj_states[lo : hi + 1])[-1].copy()
-                    del u  # freed before the next chunk's maps are built
+                    del u  # freed before the next chunk's maps are formed
                 final_norm_sq = _check_state(psi)
         if path == "mirror":
             psi = mirror_final

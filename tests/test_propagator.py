@@ -644,7 +644,9 @@ class TestUnitarityPolish:
     )
     def test_model_runs_take_no_polish(self, monkeypatch, request, params, duration):
         calls = polish_calls(monkeypatch)
-        run = RunSpec(request.getfixturevalue(params), delta_m=DELTA_M, steps=propagator._CHUNK + 1)
+        params = request.getfixturevalue(params)
+        steps = propagator._chunk(make_model(params).dim) + 1
+        run = RunSpec(params, delta_m=DELTA_M, steps=steps)
         result = run_protocol(run, ScheduleKind.SIQUAD, duration)
         assert calls == []
         assert abs(result.final_norm_sq - 1.0) <= 1e-9
@@ -706,13 +708,13 @@ class TestChainApply:
         psi = np.arange(1, dim + 1) * (1.0 - 0.5j)
         expected = sequential_states(u, psi)
         out = np.empty((count + 1, dim), dtype=complex)
-        every = propagator._chain_apply(u, psi, out)
+        rows = to_entry_rows(u).reshape(dim * dim, -1)
+        every = propagator._chain_apply(rows, psi, out)
         # written in place: psi to row 0, the state after map k to row k + 1
         assert every.shape == (count, dim) and np.shares_memory(every, out)
         assert np.array_equal(out[0], psi) and np.array_equal(out[1:], every)
         err = np.linalg.norm(every - expected, axis=1)
         assert np.all(err <= 1e-13 * np.linalg.norm(expected, axis=1))
-        rows = to_entry_rows(u).reshape(dim * dim, -1)
         root_state = propagator._apply(propagator._up_sweep(rows), psi[:, None]).T
         assert np.array_equal(root_state, every[-1:])
 
@@ -725,7 +727,8 @@ class TestChainApply:
 
         monkeypatch.setattr(propagator, "_mul", no_product)
         out = np.empty((2, 3), dtype=complex)
-        assert np.array_equal(propagator._chain_apply(u, psi, out), [u[0] @ psi])
+        rows = to_entry_rows(u).reshape(9, 1)
+        assert np.array_equal(propagator._chain_apply(rows, psi, out), [u[0] @ psi])
 
 
 class ReversedSchedule:
@@ -824,7 +827,9 @@ class TestEvolveTwoLevel:
             evolve(replace(two_level_request(), initial=QuantumState.basis(3, 0)))
 
 
-@pytest.mark.parametrize("steps", [propagator._CHUNK + 1, 4099], ids=["chunk+1", "odd"])
+@pytest.mark.parametrize(
+    "steps", [lambda dim: propagator._chunk(dim) + 1, lambda dim: 4099], ids=["chunk+1", "odd"]
+)
 @pytest.mark.parametrize(
     "params, duration, method",
     [
@@ -838,7 +843,9 @@ class TestEvolveTwoLevel:
 def test_trajectory_leaves_final_state_unchanged(request, params, duration, method, steps):
     # chunk+1 ends on a chunk of one map.  RK4 diverges on the stiff Lambda
     # runs, so it runs the two-level case only
-    run = RunSpec(request.getfixturevalue(params), delta_m=DELTA_M, steps=steps, method=method)
+    params = request.getfixturevalue(params)
+    steps = steps(make_model(params).dim)
+    run = RunSpec(params, delta_m=DELTA_M, steps=steps, method=method)
     plain = run_protocol(run, ScheduleKind.SIQUAD, duration)
     traced = run_protocol(run, ScheduleKind.SIQUAD, duration, store_trajectory=True)
     assert np.array_equal(traced.final.amplitudes, plain.final.amplitudes)
@@ -892,7 +899,7 @@ def lambda_request(gamma: float, steps: int) -> EvolveRequest:
         pytest.param(functools.partial(two_level_request, steps=100_000), id="2x2-siquad"),
         pytest.param(
             functools.partial(
-                toy_lambda_request, steps=propagator._CHUNK + 5, protocol=ScheduleKind.SIQUAD
+                toy_lambda_request, steps=propagator._chunk(3) + 5, protocol=ScheduleKind.SIQUAD
             ),
             id="lambda-decay-chunk+5",
         ),
@@ -910,40 +917,48 @@ def test_rk4_matches_sequential_oracle(make):
 
 
 @pytest.mark.parametrize(
-    "length", [propagator._BLOCK + 3, propagator._CHUNK + 1], ids=["block+3", "chunk+1"]
+    "length",
+    [lambda dim: propagator._BLOCK + 3, lambda dim: propagator._chunk(dim) + 1],
+    ids=["block+3", "chunk+1"],
 )
 @pytest.mark.parametrize(
-    "make, kernels",
+    "make, dim, kernels",
     [
-        pytest.param(two_level_request, set(), id="2x2"),
-        pytest.param(lambda steps: backward(two_level_request(steps=steps)), set(), id="2x2-reversed"),
-        pytest.param(functools.partial(lambda_request, GAMMA), {"_expm_decoupled"}, id="lambda-decay"),
-        pytest.param(functools.partial(lambda_request, 0.0), {"_expm_decoupled"}, id="lambda"),
+        pytest.param(two_level_request, 2, set(), id="2x2"),
+        pytest.param(
+            lambda steps: backward(two_level_request(steps=steps)), 2, set(), id="2x2-reversed"
+        ),
+        pytest.param(
+            functools.partial(lambda_request, GAMMA), 3, {"_expm_decoupled"}, id="lambda-decay"
+        ),
+        pytest.param(functools.partial(lambda_request, 0.0), 3, {"_expm_decoupled"}, id="lambda"),
         pytest.param(
             functools.partial(toy_lambda_request, protocol=ScheduleKind.SIQUAD),
+            3,
             {"_expm_scaled_taylor"},
             id="lambda-taylor",
         ),
     ],
 )
-def test_step_maps_match_whole_chunk_exponential(monkeypatch, make, kernels, length):
-    # a chunk that starts off step 0 and ends inside a block: the maps built
-    # block by block match the exponential of the whole chunk's -i H dt,
+def test_step_maps_match_whole_chunk_exponential(monkeypatch, make, dim, kernels, length):
+    # a range that starts off step 0 and ends inside a block: the maps built
+    # block by block match the exponential of the whole range's -i H dt,
     # bitwise for the 3x3 kernels.  numpy's SIMD loops round the tail of an
     # array differently, and the 2x2 series takes its degree from each
     # block's largest |q|, so a 2x2 map entry may move by an ulp or two
-    lo = 5
+    lo, length = 5, length(dim)
     req = make(steps=lo + length + 7)
     dt = req.schedule.duration / req.steps
     mid = (np.arange(lo, lo + length) + 0.5) * dt
     expected = expm_small(-1j * dt * hamiltonian(req, mid))
     samples = propagator._run_samples(req, req.steps)
     taken = spy_kernels(monkeypatch)
-    got = propagator._step_maps(req, samples, lo, lo + length)
+    rows = propagator._step_maps(req, samples, lo, lo + length)
     assert set(taken) == kernels
-    # entry rows, which the product tree reads without a copy
-    assert got.shape == expected.shape and np.moveaxis(got, 0, -1).flags.c_contiguous
-    if req.model.dim == 3:
+    # contiguous entry rows, which the product tree reads without a copy
+    assert rows.shape == (dim * dim, length) and rows.flags.c_contiguous
+    got = from_entry_rows(rows.reshape(dim, dim, length))
+    if dim == 3:
         assert np.array_equal(got, expected)
     else:
         assert np.all(np.abs(got - expected) <= 2 * np.spacing(np.abs(expected)))
@@ -1036,7 +1051,7 @@ def test_lambda_evolve_independent_of_hamiltonian_layout(request, params):
         model=make_model(params),
         schedule=make_schedule(params, ScheduleKind.SIQUAD, 2.85e-3, delta_m=DELTA_M),
         initial=QuantumState.basis(3, 0),
-        steps=propagator._CHUNK + 5,
+        steps=propagator._chunk(3) + 5,
         store_trajectory=True,
     )
     got = evolve(req)
@@ -1053,10 +1068,10 @@ TWO_LEVEL_T = {
     ScheduleKind.FLAT_PI: TAU_PI,
 }
 STEP_COUNTS = [
-    pytest.param(20_000, id="even"),
-    pytest.param(20_001, id="odd"),
+    pytest.param(lambda dim: 20_000, id="even"),
+    pytest.param(lambda dim: 20_001, id="odd"),
     # the first half ends inside the second chunk
-    pytest.param(2 * propagator._CHUNK + 3, id="2chunks+3"),
+    pytest.param(lambda dim: 2 * propagator._chunk(dim) + 3, id="2chunks+3"),
 ]
 
 
@@ -1113,7 +1128,7 @@ def stirap_request(gamma: float, steps: int, **kwargs) -> EvolveRequest:
     ids=["siquad", "faquad", "linear", "flat_pi"],
 )
 def test_two_level_structured_path_matches_full_path(monkeypatch, protocol, path, error, steps):
-    req = two_level_request(protocol, TWO_LEVEL_T[protocol], steps=steps, **error)
+    req = two_level_request(protocol, TWO_LEVEL_T[protocol], steps=steps(2), **error)
     got = evolve(req)
     full = full_path(monkeypatch, req)
     assert got.path == path
@@ -1131,7 +1146,7 @@ def test_two_level_structured_path_matches_full_path(monkeypatch, protocol, path
 def test_lambda_stirap_mirror_matches_full_path(monkeypatch, gamma, steps):
     # the pulses mirror each other and delta = 0, so Pi, the ground-state
     # swap, relates the halves with c_j = 0; decay sits on the fixed level
-    req = stirap_request(gamma, steps)
+    req = stirap_request(gamma, steps(3))
     got = evolve(req)
     full = full_path(monkeypatch, req)
     assert got.path == "mirror" and got.mirror_bound <= propagator._MIRROR_TOL
@@ -1276,11 +1291,11 @@ def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
         *INELIGIBLE,
         pytest.param(functools.partial(two_level_request, steps=20_001), id="mirror"),
         pytest.param(
-            functools.partial(lambda_request, GAMMA, 2 * propagator._CHUNK + 3),
+            functools.partial(lambda_request, GAMMA, 2 * propagator._chunk(3) + 3),
             id="lambda-siquad-2chunks+3",
         ),
         pytest.param(
-            functools.partial(two_level_request, steps=propagator._CHUNK + 5, method=Method.RK4),
+            functools.partial(two_level_request, steps=propagator._chunk(2) + 5, method=Method.RK4),
             id="rk4-chunk+5",
         ),
     ],
@@ -1304,19 +1319,21 @@ def test_controls_sampled_once_per_step(monkeypatch, make):
     "method", [Method.PIECEWISE_EXPM, Method.RK4], ids=["midpoints", "rk4-half-steps"]
 )
 @pytest.mark.parametrize(
-    "make",
+    "make, dim",
     [
         *(
-            pytest.param(functools.partial(two_level_request, kind, TWO_LEVEL_T[kind]), id=kind.value)
+            pytest.param(
+                functools.partial(two_level_request, kind, TWO_LEVEL_T[kind]), 2, id=kind.value
+            )
             for kind in TWO_LEVEL_T
         ),
-        pytest.param(functools.partial(stirap_request, GAMMA), id="stirap"),
+        pytest.param(functools.partial(stirap_request, GAMMA), 3, id="stirap"),
     ],
 )
-def test_run_samples_do_not_depend_on_chunking(make, method):
-    # _run_samples takes _CHUNK instants at a time: the same bits as one
-    # _controls call on every instant of the run
-    steps = 2 * propagator._CHUNK + 3
+def test_run_samples_do_not_depend_on_chunking(make, dim, method):
+    # _run_samples takes a chunk's count of instants at a time: the same bits
+    # as one _controls call on every instant of the run
+    steps = 2 * propagator._chunk(dim) + 3
     req = make(steps=steps, method=method)
     dt = req.schedule.duration / steps
     k = np.arange(2 * steps + 1 if method is Method.RK4 else steps)
@@ -1325,71 +1342,32 @@ def test_run_samples_do_not_depend_on_chunking(make, method):
     assert propagator._run_samples(req, steps).tobytes() == expected.tobytes()
 
 
-def whole_chunk_root(req, samples, lo, hi, check=None):
-    """Oracle for _chunk_root: every map of steps lo to hi - 1 formed at
-    once, then the product tree over all of them."""
-    u = propagator._step_maps(req, samples, lo, hi, check)
-    if u is None:
-        return None
-    n = req.model.dim
-    return propagator._up_sweep(to_entry_rows(u).reshape(n * n, -1))
-
-
-SUB_CHUNK_LENGTHS = {
-    "1": lambda size: 1,
-    "block+3": lambda size: propagator._BLOCK + 3,
-    "S-1": lambda size: size - 1,
-    "S": lambda size: size,
-    "S+1": lambda size: size + 1,
-    "3S+5": lambda size: 3 * size + 5,
-    "chunk": lambda size: propagator._CHUNK,
-}
-
-
-@pytest.mark.parametrize("length", SUB_CHUNK_LENGTHS.values(), ids=SUB_CHUNK_LENGTHS.keys())
 @pytest.mark.parametrize("dim", [2, 3])
-def test_chunk_root_matches_whole_tree(monkeypatch, dim, length):
-    # S = 32 768 steps of 2x2 and 8192 of 3x3 maps; the streamed root has the
-    # whole range's tree's bits, and no more than S maps are formed at once
-    size = propagator._sub_chunk(dim)
-    assert size == {2: 32768, 3: 8192}[dim]
-    hi = length(size)
-    steps = max(hi, propagator._CHUNK)
-    req = two_level_request(steps=steps) if dim == 2 else lambda_request(GAMMA, steps)
-    samples = propagator._run_samples(req, steps)
-    expected = whole_chunk_root(req, samples, 0, hi)
-    formed = []
-    original = propagator._step_maps
-
-    def counted(req, samples, lo, hi, check=None):
-        formed.append(hi - lo)
-        return original(req, samples, lo, hi, check)
-
-    monkeypatch.setattr(propagator, "_step_maps", counted)
-    got = propagator._chunk_root(req, samples, 0, hi)
-    assert got.shape == (dim * dim, 1)
-    assert got.tobytes() == expected.tobytes()
-    assert sum(formed) == hi and max(formed) <= size
+def test_chunk_maps_fit_in_cache(dim):
+    # 2 MiB of (n, n) complex maps, whole blocks
+    chunk = propagator._chunk(dim)
+    assert chunk == {2: 32768, 3: 8192}[dim] and chunk % propagator._BLOCK == 0
 
 
 @pytest.mark.parametrize(
     "make, path",
     [
-        (functools.partial(lambda_request, GAMMA, 2 * propagator._CHUNK + 3), "full"),
-        (functools.partial(stirap_request, GAMMA, 2 * propagator._CHUNK + 3), "mirror"),
+        (functools.partial(lambda_request, GAMMA, 2 * propagator._chunk(3) + 3), "full"),
+        (functools.partial(stirap_request, GAMMA, 2 * propagator._chunk(3) + 3), "mirror"),
     ],
     ids=["lambda-siquad", "lambda-stirap"],
 )
-def test_streamed_roots_keep_every_bit(monkeypatch, make, path):
+def test_streamed_roots_keep_every_bit(make, path):
+    # the chunks' roots, applied one after another, against every map of the
+    # run applied one at a time; a mirror run may move by its bound as well
     req = make()
     got = evolve(req)
-    with monkeypatch.context() as m:
-        m.setattr(propagator, "_chunk_root", whole_chunk_root)
-        expected = evolve(req)
-    assert got.path == expected.path == path
-    assert got.mirror_bound == expected.mirror_bound
-    assert got.final.amplitudes.tobytes() == expected.final.amplitudes.tobytes()
-    assert got.final_norm_sq == expected.final_norm_sq
+    dt = req.schedule.duration / req.steps
+    maps = expm_small(-1j * dt * hamiltonian(req, (np.arange(req.steps) + 0.5) * dt))
+    expected = sequential_states(maps, req.initial.amplitudes)[-1]
+    assert got.path == path
+    tol = 1e-13 + (got.mirror_bound if path == "mirror" else 0.0)
+    assert np.max(np.abs(got.final.amplitudes - expected)) <= tol
 
 
 class CountingModel:
@@ -1406,31 +1384,23 @@ class CountingModel:
 
 
 @pytest.mark.parametrize(
-    "make", [two_level_request, functools.partial(stirap_request, GAMMA)], ids=["two-level", "stirap"]
+    "make, dim",
+    [(two_level_request, 2), (functools.partial(stirap_request, GAMMA), 3)],
+    ids=["two-level", "stirap"],
 )
-def test_refuted_mirror_stops_at_the_same_block(monkeypatch, make):
+def test_refuted_mirror_stops_at_the_same_block(make, dim):
     # one step of the second half is detuned, so its pair j, in the first
-    # half's second sub-chunk, refutes the mirror: the streamed and the whole
-    # chunk stop at j's block with the same bound
-    steps = 2 * propagator._CHUNK + 3
-    req = make(steps=steps)
-    j = propagator._sub_chunk(req.model.dim) + 3 * propagator._BLOCK + 7
-    samples = propagator._run_samples(req, steps)
-    samples[0, steps - 1 - j] += 1e-3 * OMEGA_M
+    # half's second chunk, refutes the mirror: no block past j's is formed
+    req = make(steps=4 * propagator._chunk(dim) + 3)
+    j = propagator._chunk(dim) + 3 * propagator._BLOCK + 7
+    samples = propagator._run_samples(req, req.steps)
+    samples[0, req.steps - 1 - j] += 1e-3 * OMEGA_M
     psi = np.array(req.initial.amplitudes, dtype=complex)
-
-    def refuted(root):
-        counting = CountingModel(req.model)
-        with monkeypatch.context() as m:
-            m.setattr(propagator, "_chunk_root", root)
-            final, bound = propagator._mirror_final(replace(req, model=counting), samples, psi)
-        assert final is None and bound > propagator._MIRROR_TOL
-        return bound, counting.batches
-
-    bound, batches = refuted(propagator._chunk_root)
-    assert (bound, batches) == refuted(whole_chunk_root)
+    counting = CountingModel(req.model)
+    final, bound = propagator._mirror_final(replace(req, model=counting), samples, psi)
+    assert final is None and bound > propagator._MIRROR_TOL
     # each block builds its own H and its mirror's
-    assert batches == [propagator._BLOCK] * 2 * (j // propagator._BLOCK + 1)
+    assert counting.batches == [propagator._BLOCK] * 2 * (j // propagator._BLOCK + 1)
 
 
 class TestEvolveWithDecay:
@@ -1621,9 +1591,14 @@ class TestTrajectoryCsv:
             write_trajectory_csv(result, tmp_path / "x.csv")
 
 
+# the unit of the memory tests: 65 536 steps, and the (65 536, n, n) complex
+# step maps of that many steps
+UNIT = 65536
+
+
 def peak_in_chunks(run: RunSpec, duration: float = 2.85e-3, **kwargs) -> float:
     """tracemalloc peak of a SIQUAD run_protocol (after one untraced warm-up),
-    in units of one chunk of (chunk, n, n) complex step maps."""
+    in units of UNIT (n, n) complex step maps."""
     run_protocol(run, ScheduleKind.SIQUAD, duration, **kwargs)
     tracemalloc.start()
     try:
@@ -1632,26 +1607,23 @@ def peak_in_chunks(run: RunSpec, duration: float = 2.85e-3, **kwargs) -> float:
     finally:
         tracemalloc.stop()
     n = make_model(run.params).dim
-    return peak / (propagator._CHUNK * n * n * np.dtype(complex).itemsize)
+    return peak / (UNIT * n * n * np.dtype(complex).itemsize)
 
 
-@pytest.mark.parametrize("steps", [propagator._CHUNK, 2 * propagator._CHUNK])
+@pytest.mark.parametrize("steps", [UNIT, 2 * UNIT])
 def test_lambda_chunk_peak_memory(lambda_params, steps):
-    # one chunk of step maps is the unit: a run that stores no trajectory
-    # forms 8192 maps at a time and holds its samples, 0.56 chunks at one
-    # chunk and 0.78 at two; any chunk-sized array of maps would cross the
-    # bound
+    # a run forms 8192 maps at a time and holds its samples, 0.49 units at
+    # one unit of steps and 0.66 at two; any unit-sized array of maps would
+    # cross the bound
     run = RunSpec(lambda_params, delta_m=DELTA_M, steps=steps)
     assert peak_in_chunks(run) <= 1.0
 
 
-@pytest.mark.parametrize("steps", [propagator._CHUNK, 2 * propagator._CHUNK])
+@pytest.mark.parametrize("steps", [UNIT, 2 * UNIT])
 def test_two_level_chunk_peak_memory(two_level_params, steps):
-    # the same unit for (chunk, 2, 2) maps: a mirror run forms its first
-    # half 32 768 maps at a time, 1.28 chunks at one chunk and 1.75 at two,
-    # samples included (24 bytes a step, 0.75 chunks at two); forming a half
-    # chunk's maps at once, as a two-chunk run did before, would cross the
-    # bound
+    # a mirror run forms its first half 32 768 maps at a time, 1.28 units at
+    # one unit of steps and 1.66 at two, samples included (24 bytes a step,
+    # 0.75 units at two); forming a unit's maps at once would cross the bound
     run = RunSpec(two_level_params, delta_m=DELTA_M, steps=steps)
     assert peak_in_chunks(run, 5.83 * TAU_PI) <= 2.0
 
@@ -1681,18 +1653,19 @@ def test_trajectory_csv_peak_memory():
     # the writer renders one block of rows at a time, so its peak is a
     # fraction of the states and does not grow with the row count; rendering
     # the whole table at once would need 24 bytes per value, 35 MB here
-    rows = 2 * propagator._CHUNK + 1
+    rows = 2 * UNIT + 1
     peak = trajectory_csv_peak(rows)
     assert peak <= 1.5 * rows * 3 * np.dtype(complex).itemsize
     assert peak <= 1.05 * trajectory_csv_peak(rows // 2 + 1)
 
 
 def test_lambda_trajectory_peak_memory(lambda_params_no_decay):
-    # two chunks: the stored trajectory (2/3 of a chunk of maps), one chunk's
-    # exponential and polish, and the product tree's levels; the previous
-    # chunk's maps or states kept alive would cross the bound
-    run = RunSpec(lambda_params_no_decay, delta_m=DELTA_M, steps=2 * propagator._CHUNK)
-    assert peak_in_chunks(run, store_trajectory=True) <= 4.0
+    # two units: the stored trajectory (2/3 of a unit of maps), the samples
+    # (1/3), and one 8192-step chunk's maps and product tree levels, 1.34 in
+    # all; forming a unit's maps at once, as each 65 536-step chunk once
+    # did, read 3.50
+    run = RunSpec(lambda_params_no_decay, delta_m=DELTA_M, steps=2 * UNIT)
+    assert peak_in_chunks(run, store_trajectory=True) <= 2.0
 
 
 def test_run_protocol_convenience(two_level_params):
