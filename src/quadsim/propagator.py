@@ -16,7 +16,10 @@ Two fixed-step methods:
                     two-level steps, 8192 Lambda steps): H, -i H dt and the
                     exponential are formed in cache-sized blocks
                     (_step_maps), and the root of one pairwise product tree
-                    per chunk is applied to the state.  With a stored
+                    per chunk is applied to the state.  The tree's small
+                    levels, where a level costs its numpy calls rather than
+                    its arithmetic, take one gathered product each (_mul),
+                    with the same bits.  With a stored
                     trajectory the same tree writes every state on the way
                     straight into the trajectory's storage; storing one
                     changes no reported number.
@@ -87,6 +90,12 @@ _MIRROR_TOL = 1e-11
 # ~1e-16 ||A||: measured 7.8e-13 at 2^13, 5e-11 at 2^19, 0.1 at 2^50; from
 # about 2^60 the squarings return garbage, zeros or NaN
 _TAYLOR_MAX_NORM = 2.0**20
+# widest batch _mul forms in one gathered product.  On a 2-core Xeon the
+# product tree of an 8192-step Lambda chunk took 1.49 ms with the row form
+# alone, 0.95 / 0.91 / 1.03 ms gathering up to 512 / 1024 / 2048 columns; a
+# 32 768-step two-level chunk 1.20 ms, 1.06 ms from 512 to 2048 and 2.4 ms at
+# 4096, where the (n, n*n, batch) temporary leaves the cache
+_GATHER_COLS = 1024
 # to 1/24!: _series_degree reads 1/(2k+2)! up to k = 11, its degree at |q| = 4
 _INV_FACT = [1.0 / math.factorial(j) for j in range(25)]
 # largest |q| of a 2x2 batch that takes the power series (see expm_small).
@@ -165,7 +174,7 @@ class EvolveResult:
     mirror_bound: float | None = None
 
 
-def expm_small(a: np.ndarray) -> np.ndarray:
+def expm_small(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix exponential for small dense matrices (batched over leading axes).
 
     2x2 matrices use the exact form: with A = m*I + N, N traceless and
@@ -183,10 +192,10 @@ def expm_small(a: np.ndarray) -> np.ndarray:
     they do not cancel as s -> 0; s = 0 (a nilpotent or scalar A) takes
     sinh(s)/s = 1.  Either way the maps are within a few eps of mpmath.
 
-    3x3 batches are read as (entries, batch) rows, in place from the batch (a
+    Every batch is read as (entries, batch) rows, in place from the batch (a
     view for matrices stored entry-major, as the Lambda model builds them,
-    and for ordinary (batch, n, n) arrays alike), and taken in cache-sized
-    blocks.  The data picks one of two kernels.
+    and for ordinary (batch, n, n) arrays alike); 3x3 batches are taken in
+    cache-sized blocks.  The data picks one of two 3x3 kernels.
 
     Block-decoupled (exact, no scaling): every matrix is exactly complex
     symmetric (A^T = A, as -i*H*dt is for every model here: real couplings,
@@ -194,11 +203,17 @@ def expm_small(a: np.ndarray) -> np.ndarray:
     (|a02| + |a12|) <= 2^-8 (|a22| - |a00| - |a11| - 2|a01|) with the bracket
     > 0, as every Lambda step has with its 2pi x 10 GHz detuning (and, so
     that no intermediate underflows or overflows, the bracket >= 2^-500 and
-    |a22| <= 2^500).  With B the
-    leading 2x2 block and c = (a02, a12), the isolated eigenvalue solves
-    lambda = a22 + c^T (lambda I - B)^-1 c; three fixed-point steps from a22
-    converge to rounding, each shrinking the error by the squared coupling
-    ratio.  With x = (lambda I - B)^-1 c, T = [[I, x], [-x^T, 1]] splits A:
+    |a22| <= 2^500).  A batch that passes this gate is finite, so only the
+    batches it refuses are scanned for inf and NaN.  With B the leading 2x2
+    block and c = (a02, a12), the isolated eigenvalue solves lambda = a22 +
+    c^T (lambda I - B)^-1 c.  Each fixed-point step from a22 shrinks the
+    error by about rho^2, rho the batch's largest coupling ratio (|a02| +
+    |a12|) / bracket, and the kernel takes the least count k >= 1 whose bound
+    rho^(2k+2) |a22| (with its margin, _fixed_point_steps) is 2^-56 |a22|, a
+    quarter of the rounding of lambda itself: 3 at the gate's edge rho =
+    2^-8, 2 at every Lambda preset (rho ~ 6e-4).  So, like the 2x2 series,
+    a map may change in its last bit with the batch it sits in.  With
+    x = (lambda I - B)^-1 c, T = [[I, x], [-x^T, 1]] splits A:
     exp(A) = T diag(exp(R), e^lambda) T^-1 with R = B - c x^T, whose
     exponential is the 2x2 form above, and T^-1 = diag(I - x x^T/s,
     1/s) T^T, s = 1 + x^T x (the block Schur-Parlett idea).  Each stored
@@ -220,27 +235,38 @@ def expm_small(a: np.ndarray) -> np.ndarray:
     It refuses a batch whose largest Frobenius norm exceeds _TAYLOR_MAX_NORM
     = 2^20 (ValueError), where its squarings would magnify that error.  The
     result may be a view onto entry-row storage (core_model.from_entry_rows).
+    With `out`, a complex (n*n, batch) array such as a column slice of a
+    chunk's maps, the maps are written there as entry rows, and the result
+    is a view onto it; the bits are those returned without it.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite matrix entries")
     n = a.shape[-1]
-    if n == 2:
-        out = _expm_2x2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1])
-        return np.moveaxis(out.reshape((2, 2) + a.shape[:-2]), (0, 1), (-2, -1))
     # (n*n, batch) entry rows; a view for entry-major and (batch, n, n) storage
     rows = np.moveaxis(a, (-2, -1), (0, 1)).reshape(n * n, -1)
-    if n == 3 and _symmetric(rows) and _last_entry_dominates(rows):
-        return from_entry_rows(_expm_decoupled(rows).reshape(n, n, -1)).reshape(a.shape)
-    u = from_entry_rows(_expm_scaled_taylor(rows).reshape(n, n, -1))
-    skew = all(
-        np.array_equal(rows[i * n + j], -np.conj(rows[j * n + i]))
-        for i in range(n)
-        for j in range(i, n)
-    )
-    return (_unitarize(u) if skew else u).reshape(a.shape)
+    # a batch the decoupled gate takes is finite, so only the others are
+    # scanned for inf and NaN
+    ratio = _last_entry_dominates(rows) if n == 3 and _symmetric(rows) else None
+    if ratio is None and not np.all(np.isfinite(rows)):
+        raise ValueError("non-finite matrix entries")
+    if out is None:
+        out = np.empty(rows.shape, dtype=complex)
+    if n == 2:
+        _expm_2x2(*rows, out=out)
+    elif ratio is not None:
+        _expm_decoupled(rows, _fixed_point_steps(ratio), out)
+    else:
+        _expm_scaled_taylor(rows, out)
+        skew = all(
+            np.array_equal(rows[i * n + j], -np.conj(rows[j * n + i]))
+            for i in range(n)
+            for j in range(i, n)
+        )
+        if skew:
+            u = _unitarize(from_entry_rows(out.reshape(n, n, -1)))
+            out[...] = to_entry_rows(u).reshape(n * n, -1)
+    return from_entry_rows(out.reshape(n, n, -1)).reshape(a.shape)
 
 
 def _symmetric(rows: np.ndarray) -> bool:
@@ -252,9 +278,9 @@ def _symmetric(rows: np.ndarray) -> bool:
     )
 
 
-def _expm_2x2(a00, a01, a10, a11) -> np.ndarray:
+def _expm_2x2(a00, a01, a10, a11, out: np.ndarray | None = None) -> np.ndarray:
     # exp([[a00, a01], [a10, a11]]) elementwise, as one (4, ...) array of
-    # the entries 00, 01, 10, 11
+    # the entries 00, 01, 10, 11, written to `out` when given
     m = 0.5 * (a00 + a11)
     d = 0.5 * (a00 - a11)
     q = d * d + a01 * a10
@@ -266,7 +292,8 @@ def _expm_2x2(a00, a01, a10, a11) -> np.ndarray:
     else:
         cosh_m, sinhc_m, near = _cosh_sinhc_closed(m, q)
     nd = sinhc_m * d
-    out = np.empty((4,) + np.shape(q), dtype=complex)
+    if out is None:
+        out = np.empty((4,) + np.shape(q), dtype=complex)
     np.add(cosh_m, nd, out=out[0, ...])
     np.multiply(sinhc_m, a01, out=out[1, ...])
     np.multiply(sinhc_m, a10, out=out[2, ...])
@@ -336,26 +363,57 @@ def _ldexp(z, k: int) -> np.ndarray:
     return out
 
 
-def _last_entry_dominates(rows: np.ndarray) -> bool:
-    # (|a02| + |a12|) <= 2^-8 gap for every 3x3 matrix of the (9, batch)
-    # entry rows, with gap = |a22| - |a00| - |a11| - 2|a01| > 0: a zero gap,
+def _last_entry_dominates(rows: np.ndarray) -> float | None:
+    # the coupling ratio max (|a02| + |a12|) / gap over the 3x3 matrices of
+    # the (9, batch) entry rows if (|a02| + |a12|) <= 2^-8 gap for every one,
+    # with gap = |a22| - |a00| - |a11| - 2|a01| > 0, else None: a zero gap,
     # as for the zero matrix, is no dominance.  gap >= 2^-500 and
     # |a22| <= 2^500 also keep det(lambda I - B), between about gap^2 and
-    # 4 |a22|^2, clear of underflow and overflow
+    # 4 |a22|^2, clear of underflow and overflow.  A batch that passes is
+    # finite: NaN fails every comparison, an infinite a00, a11 or a01 makes
+    # gap -inf and an infinite a02 or a12 the coupling inf.  |a22| is tested
+    # first, so gap is never inf - inf
     last = np.abs(rows[8])
+    if not np.all(last <= 2.0**500):
+        return None
     gap = last - np.abs(rows[0]) - np.abs(rows[4]) - 2.0 * np.abs(rows[1])
+    if not np.all(gap >= 2.0**-500):
+        return None
     coupling = np.abs(rows[2]) + np.abs(rows[5])
-    return bool(
-        np.all(gap >= 2.0**-500)
-        and np.all(last <= 2.0**500)
-        and np.all(coupling <= 2.0**-8 * gap)
-    )
+    if not np.all(coupling <= 2.0**-8 * gap):
+        return None
+    return float(np.max(coupling / gap)) if coupling.size else 0.0
 
 
-def _expm_decoupled(rows: np.ndarray) -> np.ndarray:
+def _fixed_point_steps(ratio: float) -> int:
+    # the least k >= 1 after which k steps of lambda <- f(lambda) = a22 +
+    # c^T (lambda I - B)^-1 c from a22 leave lambda within 2^-56 |a22| of the
+    # isolated eigenvalue, for a batch of coupling ratio rho = `ratio` <= 2^-8
+    # (_last_entry_dominates): 3 from rho = 2^-9.33 to the gate's 2^-8, 2
+    # from 2^-14 (every Lambda preset has rho ~ 6e-4), 1 below.
+    # Where |lambda - a22| <= d, sigma_min(lambda I - B) >= |lambda| -
+    # ||B||_2 >= gap - d, as ||B||_2 <= |a00| + |a11| + |a01| for symmetric
+    # B, and ||c|| <= rho gap.  So f maps the disc d = 2 rho^2 gap into
+    # itself, contracts there by L = rho^2 / (1 - 2 rho^2)^2, and a22 is
+    # within rho^2 gap / (1 - 2 rho^2) of its fixed point: k steps leave at
+    # most L^k rho^2 / (1 - 2 rho^2) |a22| (gap <= |a22|).  Each iterate's
+    # own rounding, about u/2 |lambda| = 2^-54 |a22| from adding a22, is
+    # damped by L on every later step, so the truncation stays 4 times
+    # below it
+    sq = ratio * ratio
+    lipschitz = sq / (1.0 - 2.0 * sq) ** 2
+    error = sq / (1.0 - 2.0 * sq) * lipschitz
+    k = 1
+    while error > 2.0**-56:
+        error *= lipschitz
+        k += 1
+    return k
+
+
+def _expm_decoupled(rows: np.ndarray, steps: int, out: np.ndarray) -> np.ndarray:
     # exp of complex-symmetric 3x3 matrices with a dominant last diagonal
-    # entry, from (9, batch) entry rows to (9, batch) rows (see expm_small)
-    out = np.empty(rows.shape, dtype=complex)
+    # entry, from (9, batch) entry rows into the (9, batch) rows `out`, with
+    # `steps` fixed-point steps (see expm_small)
     for lo in range(0, rows.shape[-1], _BLOCK):
         b00, b01, c0, b11, c1, a22 = rows[[0, 1, 2, 4, 5, 8], lo : lo + _BLOCK]
         b01_sq = b01 * b01
@@ -363,7 +421,7 @@ def _expm_decoupled(rows: np.ndarray) -> np.ndarray:
         # with p = lambda - b00, r = lambda - b11
         c0_sq, c1_sq, cross = c0 * c0, c1 * c1, 2.0 * b01 * c0 * c1
         lam = a22
-        for _ in range(3):
+        for _ in range(steps):
             p, r = lam - b00, lam - b11
             lam = a22 + (r * c0_sq + p * c1_sq + cross) / (p * r - b01_sq)
         p, r = lam - b00, lam - b11
@@ -396,8 +454,9 @@ def _terms(n: int) -> tuple:
     )
 
 
-def _expm_scaled_taylor(rows: np.ndarray) -> np.ndarray:
-    # exp of the (n*n, batch) entry rows to (n*n, batch) rows (see expm_small)
+def _expm_scaled_taylor(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # exp of the (n*n, batch) entry rows to (n*n, batch) rows, `out` when
+    # given (see expm_small)
     # squared Frobenius norms without a batch-sized complex temporary
     sq = np.einsum("ib,ib->b", rows.real, rows.real)
     sq += np.einsum("ib,ib->b", rows.imag, rows.imag)
@@ -411,7 +470,8 @@ def _expm_scaled_taylor(rows: np.ndarray) -> np.ndarray:
         )
     k = 0 if max_norm <= 0.5 else int(math.ceil(math.log2(max_norm / 0.5)))
     scale = 2.0**-k
-    out = np.empty(rows.shape, dtype=complex)
+    if out is None:
+        out = np.empty(rows.shape, dtype=complex)
     for lo in range(0, rows.shape[-1], _BLOCK):
         p = _taylor16(scale * rows[:, lo : lo + _BLOCK])
         for _ in range(k):
@@ -437,12 +497,36 @@ def _taylor16(b: np.ndarray) -> np.ndarray:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _term_tables(n: int) -> np.ndarray:
+    # _terms(n) as a read-only (2, n, n*n) index table: [0, k, entry] the
+    # row of x and [1, k, entry] the row of y of term k, as _mul gathers them
+    tables = np.ascontiguousarray(np.array(_terms(n)).transpose(2, 1, 0))
+    tables.flags.writeable = False
+    return tables
+
+
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # x @ y for n x n matrices stored as (n*n, batch) entry rows; each
-    # entry's terms are added in order of k
+    # entry's terms are added in order of k.  Two forms with the same bits,
+    # chosen by batch width.  Up to _GATHER_COLS columns every term's operand
+    # rows are gathered at once, x[xs] * y[ys] as (n, n*n, batch), and the n
+    # term products summed: 3 numpy calls per term instead of 3 per entry and
+    # term, the fixed cost that sets the time of a product tree's small levels.
+    # Wider batches take one multiply and add per entry and term, whose
+    # temporaries stay one row wide
+    n = math.isqrt(len(x))
+    if x.shape[-1] <= _GATHER_COLS:
+        xs, ys = _term_tables(n)
+        prod = x[xs]
+        prod *= y[ys]
+        out = prod[0]
+        for term in prod[1:]:
+            out = out + term
+        return out
     out = np.empty(x.shape, dtype=complex)
     tmp = np.empty(x.shape[-1], dtype=complex)
-    for row, ((l, r), *rest) in zip(out, _terms(math.isqrt(len(x)))):
+    for row, ((l, r), *rest) in zip(out, _terms(n)):
         np.multiply(x[l], y[r], out=row)
         for l, r in rest:
             row += np.multiply(x[l], y[r], out=tmp)
@@ -586,15 +670,17 @@ def _step_maps(
 
     `samples` are the run's controls from step 0 (_run_samples).  The
     Hamiltonian, -i H dt and the maps are formed _BLOCK steps at a time, so
-    their temporaries stay in cache, and each block's maps are written into
-    the one output array.  Called on at most one chunk (_chunk) at a time.
+    their temporaries stay in cache; expm_small writes each block's maps
+    straight into their columns of the one output array (out=), with no
+    copy.  Called on at most one chunk (_chunk) at a time.
     `check(h, j0, j1)`, when given, sees the H of steps j0 to j1 - 1 before
     their maps are formed; once it returns False no more maps are formed and
     None is returned."""
     n = req.model.dim
     dt = req.schedule.duration / resolve_steps(req.steps, n)
-    maps = np.empty((n, n, hi - lo), dtype=complex)
-    per_step, form = (2, _rk4_step) if req.method is Method.RK4 else (1, expm_small)
+    maps = np.empty((n * n, hi - lo), dtype=complex)
+    rk4 = req.method is Method.RK4
+    per_step = 2 if rk4 else 1
     delta, omega_p, omega_s = samples
     for b in range(lo, hi, _BLOCK):
         end = min(b + _BLOCK, hi)
@@ -603,8 +689,12 @@ def _step_maps(
         h = req.model.hamiltonian_batch(delta[part], omega_p[part], omega_s[part])
         if check is not None and not check(h, b, end):
             return None
-        maps[..., b - lo : end - lo] = np.moveaxis(form(-1j * dt * h), 0, -1)
-    return maps.reshape(n * n, -1)
+        block = maps[:, b - lo : end - lo]
+        if rk4:
+            block.reshape(n, n, -1)[...] = np.moveaxis(_rk4_step(-1j * dt * h), 0, -1)
+        else:
+            expm_small(-1j * dt * h, out=block)
+    return maps
 
 
 def _structure(req: EvolveRequest, samples) -> str:

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -252,6 +253,67 @@ class TestExpmSmall:
         with pytest.raises(ValueError):
             expm_small(np.array([[np.inf, 0], [0, 0]]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(np.inf, 0.0)], ids=str)
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(3) for j in range(3)])
+    def test_rejects_non_finite_3x3_entry(self, i, j, value):
+        # mirrored, so that the batch stays symmetric and reaches the
+        # decoupled gate (all but NaN, which fails the symmetry test); the
+        # finite check runs only on batches the gate refuses, and the gate
+        # itself warns of no inf - inf
+        batch = lambda_sweep(3)
+        batch[1, i, j] = batch[1, j, i] = value
+        assert_refused_without_warning(batch)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_rejects_infinite_diagonal_without_warning(self, i):
+        # a00 or a11 and a22 infinite: |a22| - |a00| would be inf - inf
+        batch = lambda_sweep(3)
+        batch[1, i, i] = batch[1, 2, 2] = complex(0.0, -np.inf)
+        assert_refused_without_warning(batch)
+
+    @pytest.mark.parametrize(
+        "make, kernel",
+        [
+            pytest.param(
+                lambda: np.stack([two_by_two("decay", 0.5, seed) for seed in range(5)]),
+                None,
+                id="2x2",
+            ),
+            pytest.param(
+                lambda: lambda_sweep(propagator._BLOCK + 3), "_expm_decoupled", id="decoupled"
+            ),
+            pytest.param(
+                lambda: np.stack([random_symmetric(seed) for seed in range(5)]),
+                "_expm_scaled_taylor",
+                id="taylor",
+            ),
+            pytest.param(
+                lambda: skew_hermitian_batch(), "_expm_scaled_taylor", id="taylor-polished"
+            ),
+        ],
+    )
+    def test_out_receives_the_returned_bits(self, monkeypatch, make, kernel):
+        # out= may be a column slice of wider entry rows, as _step_maps
+        # passes a block of its chunk's maps
+        a = make()
+        n = a.shape[-1]
+        expected = expm_small(a)
+        storage = np.full((n * n, len(a) + 7), np.nan, dtype=complex)
+        out = storage[:, 3 : 3 + len(a)]
+        taken = spy_kernels(monkeypatch)
+        got = expm_small(a, out=out)
+        assert taken == ([kernel] if kernel else [])
+        assert np.array_equal(got, expected) and np.shares_memory(got, out)
+        assert np.array_equal(out, to_entry_rows(expected).reshape(n * n, -1))
+        assert np.all(np.isnan(storage[:, :3])) and np.all(np.isnan(storage[:, 3 + len(a) :]))
+
+
+def assert_refused_without_warning(batch: np.ndarray) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^non-finite matrix entries$"):
+            expm_small(batch)
+
 
 def spy_kernels(monkeypatch) -> list:
     """The names of the 3x3 kernels expm_small runs from now on, in call
@@ -259,9 +321,9 @@ def spy_kernels(monkeypatch) -> list:
     taken = []
     for name in ("_expm_decoupled", "_expm_scaled_taylor"):
 
-        def spy(*args, kernel=getattr(propagator, name), name=name):
+        def spy(*args, kernel=getattr(propagator, name), name=name, **kwargs):
             taken.append(name)
-            return kernel(*args)
+            return kernel(*args, **kwargs)
 
         monkeypatch.setattr(propagator, name, spy)
     return taken
@@ -406,6 +468,83 @@ class TestSeries2x2:
         assert propagator._series_degree(q) == degree
 
 
+def coupling_ratio(a: np.ndarray) -> float:
+    # the gate's rho = max (|a02| + |a12|) / gap over the batch a
+    rows = to_entry_rows(a.reshape(-1, 3, 3)).reshape(9, -1)
+    return propagator._last_entry_dominates(rows)
+
+
+def fixed_point_bound(ratio: float, k: int) -> float:
+    # the rule's bound on |lambda_k - lambda*| / |a22|: L^k rho^2 / (1 - 2 rho^2)
+    # with L = rho^2 / (1 - 2 rho^2)^2
+    sq = ratio * ratio
+    return (sq / (1.0 - 2.0 * sq) ** 2) ** k * sq / (1.0 - 2.0 * sq)
+
+
+class TestFixedPointRule:
+    """The decoupled kernel takes the least number of fixed-point steps k >= 1
+    whose truncation bound is at most 2^-56 |a22|, from the batch's coupling
+    ratio rho = max (|a02| + |a12|) / gap."""
+
+    @pytest.mark.parametrize(
+        "make, steps",
+        [
+            pytest.param(functools.partial(coupled_at_ratio, 258.0), 3, id="ratio-2^-8"),
+            # the largest ratio of a 73 728-step Lambda block, at 1.2x amplitude
+            pytest.param(lambda: lambda_sweep(propagator._BLOCK), 2, id="73728-steps-1.2x"),
+            pytest.param(
+                lambda: lambda_sweep(propagator._BLOCK, steps=500_000), 2, id="500000-steps-1.2x"
+            ),
+            # couplings a tenth of the nominal ones
+            pytest.param(
+                lambda: lambda_steps(73_728, 2.85e-3, DELTA_M, 0.1 * OMEGA0, 0.05 * OMEGA0),
+                1,
+                id="weak-coupling",
+            ),
+            pytest.param(lambda: np.diag([0.5, -0.25j, -1j * 2400.0]), 1, id="uncoupled"),
+        ],
+    )
+    def test_batch_picks_the_count(self, make, steps):
+        assert propagator._fixed_point_steps(coupling_ratio(make())) == steps
+
+    @pytest.mark.parametrize(
+        "ratio, steps",
+        [
+            (0.0, 1),
+            (2.0**-15, 1),
+            (2.0**-14, 2),
+            (6e-4, 2),
+            (2.0**-9.4, 2),
+            (2.0**-9.3, 3),
+            (2.0**-8, 3),
+        ],
+    )
+    def test_rule(self, ratio, steps):
+        assert propagator._fixed_point_steps(ratio) == steps
+        assert fixed_point_bound(ratio, steps) <= 2.0**-56
+        assert steps == 1 or fixed_point_bound(ratio, steps - 1) > 2.0**-56
+
+    @pytest.mark.parametrize("last", [258.0, 600.0, 4000.0])
+    def test_bound_holds_in_extended_precision(self, last):
+        # lambda_k from lambda_0 = a22 in 50 digits, against the fixed point
+        a = coupled_at_ratio(last)
+        ratio = coupling_ratio(a)
+        with mpmath.workdps(50):
+            m = mpmath.matrix(a.tolist())
+            b, c, a22 = m[0:2, 0:2], m[0:2, 2], m[2, 2]
+
+            def step(lam):
+                return a22 + (c.T * mpmath.inverse(lam * mpmath.eye(2) - b) * c)[0]
+
+            exact = a22
+            for _ in range(40):
+                exact = step(exact)
+            lam = a22
+            for k in range(1, 5):
+                lam = step(lam)
+                assert abs(lam - exact) <= fixed_point_bound(ratio, k) * abs(a22)
+
+
 class TestDecoupledPath:
     """The exact block-decoupled kernel for complex-symmetric 3x3 batches
     with a dominant last diagonal entry, as every Lambda step has."""
@@ -490,6 +629,80 @@ class TestDecoupledPath:
 
 
 SWAP = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+
+
+def row_form_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x @ y on (n*n, batch) entry rows, one multiply and add per entry and
+    # term, the terms of each entry added in order of k
+    n = math.isqrt(len(x))
+    out = np.empty(x.shape, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i * n + j] = x[i * n] * y[j]
+            for k in range(1, n):
+                out[i * n + j] += x[i * n + k] * y[k * n + j]
+    return out
+
+
+def bits(z: np.ndarray) -> np.ndarray:
+    # the raw bits of a complex array, so that -0.0 and 0.0 differ
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+def signed_zero_rows(dim: int, count: int, seed: int) -> np.ndarray:
+    # (n*n, count) entry rows whose parts are drawn from +-0, +-1 and
+    # +-0.5, so many products and sums are signed zeros, and every fifth
+    # column normal
+    rng = np.random.default_rng(seed)
+    parts = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -0.5], size=(2, dim * dim, count))
+    rows = np.empty((dim * dim, count), dtype=complex)
+    rows.real, rows.imag = parts  # keeps the sign of every zero part
+    rows[:, 4::5] = rng.normal(size=(dim * dim, len(range(4, count, 5)))) * (1 + 1j)
+    return rows
+
+
+class TestProductForms:
+    """_mul gathers every term of a batch of at most _GATHER_COLS products at
+    once and takes wider batches row by row; both give the row form's bits."""
+
+    @pytest.mark.parametrize("width", ["1", "2", "3", "crossover", "crossover+1"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mul_matches_row_form(self, dim, width):
+        crossover = propagator._GATHER_COLS
+        count = {"crossover": crossover, "crossover+1": crossover + 1}.get(width) or int(width)
+        # x is a strided view, as the product tree passes its levels
+        x = signed_zero_rows(dim, 2 * count, seed=dim)[:, 1::2]
+        y = signed_zero_rows(dim, count, seed=dim + 10)
+        # (-0 + 0i)(1 + 0i) has real part -0 - 0 = -0, and so has every
+        # entry of the first product
+        x[:, 0], y[:, 0] = -0.0, 1.0
+        got = propagator._mul(x, y)
+        expected = row_form_product(x, y)
+        assert np.all(np.signbit(expected.real[:, 0]) & (expected.real[:, 0] == 0))
+        assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_up_sweep_matches_row_form_tree(self, dim):
+        # 2 * _GATHER_COLS + 3 maps: the first level's 1025 products take the
+        # row form, the rest the gathered one, and levels 2051, 513, 257, ...
+        # carry an odd last map
+        m = random_maps(dim, 2 * propagator._GATHER_COLS + 3, unitary=False, seed=dim)
+        m = to_entry_rows(m).reshape(dim * dim, -1)
+        expected = [m]
+        while expected[-1].shape[-1] > 1:
+            level = expected[-1]
+            count = level.shape[-1]
+            even = count // 2 * 2
+            paired = row_form_product(level[:, 1:even:2], level[:, 0:even:2])
+            if count % 2:
+                paired = np.concatenate([paired, level[:, -1:]], axis=-1)
+            expected.append(paired)
+        levels = [m]
+        root = propagator._up_sweep(m, levels)
+        assert [level.shape[-1] % 2 for level in levels[:4]] == [1, 0, 1, 1]
+        assert len(levels) == len(expected)
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(levels, expected))
+        assert np.array_equal(bits(root), bits(expected[-1]))
 
 
 class TestTaylorNormBound:
@@ -629,7 +842,7 @@ class TestUnitarityPolish:
         # a gamma = 0 Lambda run forced onto the Taylor kernel.  Unpolished,
         # its maps' unitarity defects add up to |psi|^2 = 1 + 3.5e-8 at
         # 20 000 steps, and evolve raises
-        monkeypatch.setattr(propagator, "_last_entry_dominates", lambda rows: False)
+        monkeypatch.setattr(propagator, "_last_entry_dominates", lambda rows: None)
         calls = polish_calls(monkeypatch)
         run = RunSpec(lambda_params_no_decay, delta_m=DELTA_M, steps=20_000)
         result = run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3)
@@ -1159,9 +1372,9 @@ def test_mirror_run_forms_half_the_maps(monkeypatch, steps):
     formed = []
     original = propagator.expm_small
 
-    def counted(a):
+    def counted(a, **kwargs):
         formed.append(len(a))
-        return original(a)
+        return original(a, **kwargs)
 
     monkeypatch.setattr(propagator, "expm_small", counted)
     assert evolve(two_level_request(steps=steps)).path == "mirror"
