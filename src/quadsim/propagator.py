@@ -11,17 +11,16 @@ Two fixed-step methods:
                     is set by how fast the controls vary.  A 3x3 step whose
                     excited level dominates, as every Lambda step does, has
                     that level split off exactly, so its phase takes no
-                    squarings either (see expm_small).  Steps run in
-                    chunks whose maps fit in 2 MiB of cache (_chunk: 32 768
-                    two-level steps, 8192 Lambda steps): H, -i H dt and the
-                    exponential are formed in cache-sized blocks
-                    (_step_maps), and the root of one pairwise product tree
-                    per chunk is applied to the state.  The tree's small
-                    levels, where a level costs its numpy calls rather than
-                    its arithmetic, take one gathered product each (_mul),
-                    with the same bits.  With a stored
-                    trajectory the same tree writes every state on the way
-                    straight into the trajectory's storage; storing one
+                    squarings either (see expm_small).  Steps run in chunks
+                    whose maps fit in 2 MiB of cache (_chunk: 32 768 two-level
+                    steps, 8192 Lambda steps): H, -i H dt and the exponential
+                    are formed in cache-sized blocks (_step_maps), and the
+                    root of one pairwise product tree per chunk is applied to
+                    the state.  The tree's small levels, where a level costs
+                    its numpy calls rather than its arithmetic, take one
+                    gathered product each (_mul), with the same bits.  With a
+                    stored trajectory the same tree writes every state on the
+                    way straight into the trajectory's storage; storing one
                     changes no reported number.
     RK4             classical 4th-order on dpsi/dt = -i H(t) psi, kept for
                     cross-validation: one matrix per step, formed in the same
@@ -40,21 +39,23 @@ where its samples prove one; no option selects it:
               the stepped run's bits.
     mirror    with Pi the two-level swap or the Lambda ground-state swap and
               scalars c_j, H_{N-1-j} = Pi H_j Pi + c_j I + E_j, every H_j
-              complex symmetric and sum_{j<N/2} dt ||E_j|| (Frobenius) at
-              most _MIRROR_TOL = 1e-11 (sweeps with delta(T - t) = -delta(t),
-              STIRAP with equal peaks).  Then U_{N-1-j} = e^(-i c_j dt) Pi
-              U_j Pi up to E_j and U_j^T = U_j, so only steps 0 .. ceil(N/2)
-              - 1 are formed and the final state is e^(-i dt sum c_j) Pi P^T
-              Pi [M] P psi, P the first half's product.  The bound is how far the answer may
-              move from the full path's, for products of contractions, so
-              for gamma > 0 too.
+              complex symmetric and sum_{j<N/2} dt ||E_j|| (Frobenius) at most
+              _MIRROR_TOL = 1e-11 (sweeps with delta(T - t) = -delta(t),
+              STIRAP with equal peaks).  Then U_{N-1-j} = e^(-i c_j dt) Pi U_j
+              Pi up to E_j and U_j^T = U_j, so only steps 0 .. ceil(N/2) - 1
+              are formed and the final state is e^(-i dt sum c_j) Pi P^T Pi
+              [M] P psi, P the first half's product.  The bound is how far the
+              answer may move from the full path's, for products of
+              contractions, so for gamma > 0 too.
     full      RK4, which looks for no structure, and every run the samples
               refute: each step's map is formed and applied.
 
-A mirror run forms its first half in the same chunks.  No run holds more
-than one chunk of maps; the samples are the largest part of a long run.  A
-stored trajectory still takes every map; on a mirror run its last state is
-the mirror's final state.
+A run is one loop over chunks, each formed by its run's rule: the constant
+power, the mirror's first half, whose chunk roots are kept, or stepped.  A
+refuted mirror is stepped through the roots it kept, so no map outside the
+chunk that refuted it is formed twice.  No run holds more than one chunk of
+maps; the samples are the largest part of a long run.  A stored trajectory
+still takes every map; on a mirror run its last state is the mirror's.
 
 Propagation is deterministic: identical requests give bit-identical results.
 """
@@ -81,7 +82,7 @@ _NORM_ABORT = 1e-6
 # 512 and 16384 about 50 % slower
 _BLOCK = 2048
 # a mirror run may move its answer by at most this from the full path's (see
-# _mirror_final): sum over the first half of dt ||E_j||, which bounds the
+# _Mirror): sum over the first half of dt ||E_j||, which bounds the
 # change for products of contractions, so for gamma > 0 too.  The Lambda
 # STIRAP runs at 2.85 ms read 3.5e-12 to 9.6e-12, from the rounding of the
 # mirrored sample times; at 21.12 ms they read 1.2e-11 to 2.6e-11
@@ -160,11 +161,11 @@ class EvolveRequest:
 @dataclass(frozen=True)
 class EvolveResult:
     """A run's final state and, with store_trajectory, every state on the
-    way.  `path` names what gave the final state: "full", "mirror" or
-    "constant" (see the module docstring); `mirror_bound` is the mirror's
-    bound sum dt ||E_j|| where it was evaluated (summed up to the block that
-    refuted it, inf for an H that is not symmetric), else None.  Neither is
-    written to any output file."""
+    way.  `path` names what gave the final state: "constant", "mirror" or
+    "full", the stepped run, a refuted mirror's included (see the module
+    docstring); `mirror_bound` is the gate's sum dt ||E_j|| where it was
+    evaluated (up to the block that refuted it, inf for an H that is not
+    symmetric), else None.  Neither is written to any output file."""
 
     final: QuantumState
     final_norm_sq: float
@@ -370,13 +371,14 @@ def _last_entry_dominates(rows: np.ndarray) -> float | None:
     # as for the zero matrix, is no dominance.  gap >= 2^-500 and
     # |a22| <= 2^500 also keep det(lambda I - B), between about gap^2 and
     # 4 |a22|^2, clear of underflow and overflow.  A batch that passes is
-    # finite: NaN fails every comparison, an infinite a00, a11 or a01 makes
-    # gap -inf and an infinite a02 or a12 the coupling inf.  |a22| is tested
-    # first, so gap is never inf - inf
-    last = np.abs(rows[8])
-    if not np.all(last <= 2.0**500):
+    # finite: NaN fails every comparison, an infinite a00, a11 or a01
+    # exceeds |a22| <= 2^500 and an infinite a02 or a12 makes the coupling
+    # inf.  |a00|, |a11| and |a01| are bounded by |a22| (else gap < 0)
+    # before gap is formed, so forming it neither overflows nor takes inf - inf
+    last, diag0, diag1, off = (np.abs(rows[i]) for i in (8, 0, 4, 1))
+    if not (np.all(last <= 2.0**500) and all(np.all(x <= last) for x in (diag0, diag1, off))):
         return None
-    gap = last - np.abs(rows[0]) - np.abs(rows[4]) - 2.0 * np.abs(rows[1])
+    gap = last - diag0 - diag1 - 2.0 * off
     if not np.all(gap >= 2.0**-500):
         return None
     coupling = np.abs(rows[2]) + np.abs(rows[5])
@@ -702,86 +704,74 @@ def _structure(req: EvolveRequest, samples) -> str:
     PIECEWISE_EXPM run, from its midpoint controls: "constant" when every
     step's controls, and so its H, are equal, unless a trajectory is stored
     (stepping every map gives the constant path's bits, "full"); else
-    "mirror", which _mirror_final proves or refutes."""
+    "mirror", which _Mirror.check proves or refutes."""
     if all(np.all(s == s[0]) for s in samples):
         return "full" if req.store_trajectory else "constant"
     return "mirror"
 
 
-def _mirror_final(req: EvolveRequest, samples, psi: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """The final state of a mirror run from steps 0 to ceil(N/2) - 1 alone,
-    and the bound sum_{j < N/2} dt ||E_j||; or None and the bound summed up
-    to the block that took it past _MIRROR_TOL (inf for an H_j that is not
-    exactly complex symmetric).
+class _Mirror:
+    """A run's mirror identity (see the module docstring), Pi the swap of
+    the first two basis states and c_j the mean of the diagonal of
+    H_{N-1-j} - Pi H_j Pi.  check(h, lo, hi), the gate _step_maps calls on
+    each first-half block before its maps are formed, adds the block's
+    dt ||E_j|| (Frobenius) to `bound` and its c_j to `c_sum`, and is false
+    once the bound passes _MIRROR_TOL (inf for an H_j that is not exactly
+    complex symmetric).  final(roots, psi), from the first half's chunk
+    roots in order, is e^(-i dt sum c_j) Pi P^T Pi [M] P psi, P their
+    product and M the middle map of an odd N."""
 
-    Pi swaps the first two basis states (the two-level swap, the Lambda
-    ground-state swap), H_{N-1-j} = Pi H_j Pi + c_j I + E_j with c_j the
-    mean of the diagonal of H_{N-1-j} - Pi H_j Pi, and ||.|| is the
-    Frobenius norm; each block's pairs are checked before its maps are
-    formed.  Up to E_j, U_{N-1-j} = e^(-i c_j dt) Pi U_j Pi, and U_j^T = U_j
-    for complex symmetric H_j, so the second half's product is
-    e^(-i dt sum c_j) Pi P^T Pi, with P = U_{N/2-1} ... U_0 the root of each
-    chunk's tree (_chunk), multiplied across chunks; each chunk's maps are
-    freed before the next chunk's are formed.  The final state is
-    e^(-i dt sum c_j) Pi P^T Pi [M] P psi, M the middle map of an odd N."""
-    n = req.model.dim
-    steps = len(samples[0])
-    half = steps // 2
-    dt = req.schedule.duration / steps
-    swap = [1, 0, *range(2, n)]
-    mirrored = [swap[i] * n + swap[j] for i in range(n) for j in range(n)]
-    bound, c_sum = 0.0, 0j
+    def __init__(self, req: EvolveRequest, samples: np.ndarray):
+        n = req.model.dim
+        self.req, self.samples, self.steps = req, samples, len(samples[0])
+        self.dt = req.schedule.duration / self.steps
+        swap = [1, 0, *range(2, n)]
+        # the rows of (Pi X Pi)_ij = X_{swap i, swap j} and (Pi X^T Pi)_ij
+        self.mirrored = [swap[i] * n + swap[j] for i in range(n) for j in range(n)]
+        self.transposed = [swap[j] * n + swap[i] for i in range(n) for j in range(n)]
+        self.bound, self.c_sum = 0.0, 0j
 
-    def check(h, lo, hi):
-        nonlocal bound, c_sum
+    def check(self, h: np.ndarray, lo: int, hi: int) -> bool:
+        n, steps = self.req.model.dim, self.steps
         first = to_entry_rows(h).reshape(n * n, -1)
         if not _symmetric(first):
-            bound = math.inf
+            self.bound = math.inf
             return False
-        mirror = [s[steps - hi : steps - lo][::-1] for s in samples]
-        e = to_entry_rows(req.model.hamiltonian_batch(*mirror)).reshape(n * n, -1)
-        e -= first[mirrored]
+        mirror = [s[steps - hi : steps - lo][::-1] for s in self.samples]
+        e = to_entry_rows(self.req.model.hamiltonian_batch(*mirror)).reshape(n * n, -1)
+        e -= first[self.mirrored]
         c = e[:: n + 1].sum(axis=0) / n
         e[:: n + 1] -= c
         # squared moduli from the (re, im) pairs of the float view
         ev = e.view(float)
         sq = np.einsum("ib,ib->b", ev, ev)
-        bound += dt * float(np.sum(np.sqrt(sq[0::2] + sq[1::2])))
-        c_sum += c.sum()
-        return bound <= _MIRROR_TOL
+        self.bound += self.dt * float(np.sum(np.sqrt(sq[0::2] + sq[1::2])))
+        self.c_sum += c.sum()
+        return self.bound <= _MIRROR_TOL
 
-    p, chunk = None, _chunk(n)
-    for lo in range(0, half, chunk):
-        u = _step_maps(req, samples, lo, min(lo + chunk, half), check)
-        if u is None:
-            return None, bound
-        root = _up_sweep(u)
-        del u  # freed before the next chunk's maps are formed
-        p = root if p is None else _mul(root, p)
-    v = _apply(p, psi[:, None])
-    if steps % 2:
-        v = _apply(_step_maps(req, samples, half, half + 1), v)
-    # (Pi P^T Pi)_ij = P_{swap j, swap i}
-    q = p[[swap[j] * n + swap[i] for i in range(n) for j in range(n)]]
-    return np.exp(-1j * dt * c_sum) * _apply(q, v)[:, 0], bound
+    def final(self, roots: list, psi: np.ndarray) -> np.ndarray:
+        p = functools.reduce(lambda p, root: _mul(root, p), roots)
+        v = _apply(p, psi[:, None])
+        half = self.steps // 2
+        if self.steps % 2:
+            v = _apply(_step_maps(self.req, self.samples, half, half + 1), v)
+        return np.exp(-1j * self.dt * self.c_sum) * _apply(p[self.transposed], v)[:, 0]
 
 
 def evolve(req: EvolveRequest) -> EvolveResult:
     """Propagate req.initial by either method.  The controls are sampled
-    once for the whole run (_run_samples).  _structure names the identity a
-    PIECEWISE_EXPM run may take (see the module docstring; RK4 looks for
-    none): "constant" raises the one step map per chunk (_tree_power);
-    "mirror" is proved block by block while the first half's maps are formed
-    (_mirror_final), and a run it refutes falls back to the full path.  The
-    full path is one loop over cache-sized chunks (_chunk): _step_maps forms
-    a chunk's maps, the root of their product tree is applied, or with a
-    stored trajectory _chain_apply writes every state on the way, and the
-    state is checked; the maps are freed before the next chunk's are formed.
-    A stored trajectory always takes the full path; on a mirror run its last
-    state is then the mirror's, so storing one changes no reported number.
-    Raises ValueError for a bad request (dimension, steps < MIN_STEPS,
-    unknown method) and IntegrationError for non-finite amplitudes or norm
-    growth."""
+    once (_run_samples), and the run is one loop over cache-sized chunks
+    (_chunk), each formed by the rule _structure names (see the module
+    docstring; RK4 looks for none): constant applies the one step map's
+    power (_tree_power); mirror keeps the roots of the first half's chunks,
+    formed under its gate, for _Mirror.final; stepped applies each chunk's
+    root, or _chain_apply writes every state into a stored trajectory.  A
+    refuted mirror restarts the loop at step 0, stepped, through the roots
+    it kept; a stored trajectory is stepped from 0 once the mirror is
+    refuted or proved.  Each chunk's maps are freed before the next chunk's
+    are formed, and the state is checked after each chunk.  Raises
+    ValueError for a bad request (dimension, steps < MIN_STEPS, unknown
+    method) and IntegrationError for non-finite amplitudes or norm growth."""
     dim = req.model.dim
     if req.initial.dim != dim:
         raise ValueError(f"state dimension {req.initial.dim} != model dimension {dim}")
@@ -791,38 +781,45 @@ def evolve(req: EvolveRequest) -> EvolveResult:
     if req.method not in (Method.PIECEWISE_EXPM, Method.RK4):
         raise ValueError(f"unknown method {req.method!r}")
 
-    psi = np.array(req.initial.amplitudes, dtype=complex)
+    psi = initial = np.array(req.initial.amplitudes, dtype=complex)
     traj_states = np.empty((steps + 1, dim), dtype=complex) if req.store_trajectory else None
-    samples, bound = _run_samples(req, steps), None
+    samples = _run_samples(req, steps)
     path = _structure(req, samples) if req.method is Method.PIECEWISE_EXPM else "full"
+    chunk, lo, end, roots, mirror, check = _chunk(dim), 0, steps, [], None, None
+    if path == "constant":
+        one = _step_maps(req, samples, 0, 1)
+    elif path == "mirror":
+        mirror = _Mirror(req, samples)
+        check, end = mirror.check, steps // 2
 
     # divergence, as of RK4 on a stiff run, is caught by the norm check, so
     # silence the float warnings an unstable run emits on its way there
     with np.errstate(over="ignore", invalid="ignore"):
+        while lo < end:
+            hi = min(lo + chunk, end)
+            if path == "constant":
+                psi = _apply(_tree_power(one, hi - lo), psi[:, None])[:, 0]
+            elif check is not None:
+                u = _step_maps(req, samples, lo, hi, check)
+                if u is None:  # refuted: restart, stepped through the kept roots
+                    path, check, lo, end = "full", None, 0, steps
+                    continue
+                roots.append(_up_sweep(u))
+            elif traj_states is not None:
+                # the trajectory's states, the chunk's first included,
+                # are written straight into its storage
+                u = _step_maps(req, samples, lo, hi)
+                psi = _chain_apply(u, psi, traj_states[lo : hi + 1])[-1].copy()
+            else:
+                root = roots.pop(0) if roots else _up_sweep(_step_maps(req, samples, lo, hi))
+                psi = _apply(root, psi[:, None])[:, 0]
+            u = None  # freed before the next chunk's maps are formed
+            final_norm_sq = _check_state(psi)
+            lo = hi
+            if check is not None and lo == end and traj_states is not None:
+                check, lo, end = None, 0, steps  # proved: the trajectory takes every map
         if path == "mirror":
-            mirror_final, bound = _mirror_final(req, samples, psi)
-            path = "full" if mirror_final is None else "mirror"
-        if path == "constant":
-            one = _step_maps(req, samples, 0, 1)
-        if path != "mirror" or traj_states is not None:
-            chunk = _chunk(dim)
-            for lo in range(0, steps, chunk):
-                hi = min(lo + chunk, steps)
-                if path == "constant":
-                    psi = _apply(_tree_power(one, hi - lo), psi[:, None])[:, 0]
-                elif traj_states is None:
-                    psi = _apply(_up_sweep(_step_maps(req, samples, lo, hi)), psi[:, None])[:, 0]
-                else:
-                    # the trajectory's states, the chunk's first included,
-                    # are written straight into its storage
-                    u = _step_maps(req, samples, lo, hi)
-                    psi = _chain_apply(u, psi, traj_states[lo : hi + 1])[-1].copy()
-                    del u  # freed before the next chunk's maps are formed
-                final_norm_sq = _check_state(psi)
-        if path == "mirror":
-            psi = mirror_final
-            if traj_states is not None:
-                traj_states[-1] = psi
+            psi = mirror.final(roots, initial)
             final_norm_sq = _check_state(psi)
     if final_norm_sq > 1.0 + 1e-9:
         raise IntegrationError(
@@ -830,6 +827,7 @@ def evolve(req: EvolveRequest) -> EvolveResult:
         )
     trajectory = None
     if req.store_trajectory:
+        traj_states[-1] = psi  # the mirror's final state on a mirror run
         times = np.linspace(0.0, req.schedule.duration, steps + 1)
         if not np.all(np.isfinite(traj_states)):
             raise IntegrationError("non-finite amplitudes in stored trajectory")
@@ -840,7 +838,7 @@ def evolve(req: EvolveRequest) -> EvolveResult:
         populations=np.abs(psi) ** 2,
         trajectory=trajectory,
         path=path,
-        mirror_bound=bound,
+        mirror_bound=None if mirror is None else mirror.bound,
     )
 
 

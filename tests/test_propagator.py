@@ -272,6 +272,23 @@ class TestExpmSmall:
         assert_refused_without_warning(batch)
 
     @pytest.mark.parametrize(
+        "entries",
+        [[(0, 0)], [(1, 1)], [(0, 1)], [(0, 0), (1, 1)]],
+        ids=["a00", "a11", "a01", "a00-a11"],
+    )
+    def test_refuses_huge_finite_entry_without_warning(self, entries):
+        # finite entries near the largest float, mirrored: the gate bounds
+        # them by |a22| before it forms the gap, which would overflow, so the
+        # batch goes to the Taylor kernel, which refuses it by its norm
+        batch = lambda_sweep(3)
+        for i, j in entries:
+            batch[1, i, j] = batch[1, j, i] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds"):
+                expm_small(batch)
+
+    @pytest.mark.parametrize(
         "make, kernel",
         [
             pytest.param(
@@ -1319,6 +1336,36 @@ def stirap_request(gamma: float, steps: int, **kwargs) -> EvolveRequest:
     )
 
 
+class DetunedStep:
+    """`schedule` with delta moved by `shift` at the midpoint of step k of
+    an N-step run alone."""
+
+    def __init__(self, schedule: PulseSchedule, steps: int, k: int, shift: float):
+        self.schedule, self.duration, self.shift = schedule, schedule.duration, shift
+        self.dt = schedule.duration / steps
+        self.t_k = (k + 0.5) * self.dt
+
+    def delta(self, t):
+        d = self.schedule.delta(t)
+        return np.where(np.abs(t - self.t_k) < 0.25 * self.dt, d + self.shift, d)
+
+    def pulses(self, t):
+        return self.schedule.pulses(t)
+
+
+def refuted_pair(dim: int, index: int = 1) -> int:
+    # a pair inside chunk `index` of the first half, in its fourth block
+    return index * propagator._chunk(dim) + 3 * propagator._BLOCK + 7
+
+
+def refuted_mid_run(make, dim: int, index: int = 1, **kwargs) -> EvolveRequest:
+    """make's run of 2 index + 2 chunks and 3 steps with step N - 1 - j
+    detuned, so that pair j = refuted_pair(dim, index) refutes the mirror."""
+    req = make(steps=(2 * index + 2) * propagator._chunk(dim) + 3, **kwargs)
+    k = req.steps - 1 - refuted_pair(dim, index)
+    return replace(req, schedule=DetunedStep(req.schedule, req.steps, k, 1e-3 * OMEGA_M))
+
+
 @pytest.mark.parametrize("steps", STEP_COUNTS)
 @pytest.mark.parametrize(
     "error",
@@ -1431,12 +1478,25 @@ def test_rk4_looks_for_no_structure(protocol):
 
 
 @pytest.mark.parametrize(
-    "protocol, path", [(ScheduleKind.SIQUAD, "mirror"), (ScheduleKind.FLAT_PI, "full")]
+    "make, path",
+    [
+        *(
+            pytest.param(
+                functools.partial(two_level_request, kind, TWO_LEVEL_T[kind], steps=4099),
+                path,
+                id=f"{kind}-{path}",
+            )
+            for kind, path in [(ScheduleKind.SIQUAD, "mirror"), (ScheduleKind.FLAT_PI, "full")]
+        ),
+        pytest.param(
+            functools.partial(refuted_mid_run, two_level_request, 2), "full", id="refuted-mid-run"
+        ),
+    ],
 )
-def test_stored_trajectory_steps_every_map(monkeypatch, protocol, path):
+def test_stored_trajectory_steps_every_map(monkeypatch, make, path):
     # every state on the way is the full path's; the last one is the plain
     # run's final state, so storing a trajectory changes no reported number
-    req = two_level_request(protocol, TWO_LEVEL_T[protocol], steps=4099, store_trajectory=True)
+    req = make(store_trajectory=True)
     traced = evolve(req)
     full = full_path(monkeypatch, req)
     plain = evolve(replace(req, store_trajectory=False))
@@ -1510,6 +1570,9 @@ def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
         pytest.param(
             functools.partial(two_level_request, steps=propagator._chunk(2) + 5, method=Method.RK4),
             id="rk4-chunk+5",
+        ),
+        pytest.param(
+            functools.partial(refuted_mid_run, two_level_request, 2), id="mirror-refuted-mid-run"
         ),
     ],
 )
@@ -1596,24 +1659,47 @@ class CountingModel:
         return self.model.hamiltonian_batch(delta, omega_p, omega_s)
 
 
-@pytest.mark.parametrize(
-    "make, dim",
-    [(two_level_request, 2), (functools.partial(stirap_request, GAMMA), 3)],
-    ids=["two-level", "stirap"],
-)
+REFUTED = [
+    pytest.param(two_level_request, 2, id="two-level"),
+    pytest.param(functools.partial(stirap_request, GAMMA), 3, id="stirap"),
+]
+
+
+@pytest.mark.parametrize("make, dim", REFUTED)
 def test_refuted_mirror_stops_at_the_same_block(make, dim):
-    # one step of the second half is detuned, so its pair j, in the first
-    # half's second chunk, refutes the mirror: no block past j's is formed
-    req = make(steps=4 * propagator._chunk(dim) + 3)
-    j = propagator._chunk(dim) + 3 * propagator._BLOCK + 7
-    samples = propagator._run_samples(req, req.steps)
-    samples[0, req.steps - 1 - j] += 1e-3 * OMEGA_M
-    psi = np.array(req.initial.amplitudes, dtype=complex)
+    # no block past the refuting pair's is formed, and the stepped run goes
+    # on from that pair's chunk, the first half's second
+    req = refuted_mid_run(make, dim)
     counting = CountingModel(req.model)
-    final, bound = propagator._mirror_final(replace(req, model=counting), samples, psi)
-    assert final is None and bound > propagator._MIRROR_TOL
-    # each block builds its own H and its mirror's
-    assert counting.batches == [propagator._BLOCK] * 2 * (j // propagator._BLOCK + 1)
+    got = evolve(replace(req, model=counting))
+    assert got.path == "full" and got.mirror_bound > propagator._MIRROR_TOL
+    block, chunk = propagator._BLOCK, propagator._chunk(dim)
+    # each of the mirror's blocks builds its own H and its mirror's
+    mirror = [block] * 2 * (refuted_pair(dim) // block + 1)
+    stepped = [block] * ((req.steps - chunk) // block) + [(req.steps - chunk) % block]
+    assert counting.batches == mirror + stepped
+
+
+@pytest.mark.parametrize("make, dim", REFUTED)
+@pytest.mark.parametrize("index", [1, 2], ids=["second-chunk", "third-chunk"])
+def test_refuted_mirror_forms_each_map_once(monkeypatch, make, dim, index):
+    # the stepped run applies the roots the mirror kept, in order: only the
+    # refuted chunk's blocks before the refuting one are formed twice, and
+    # the final state is the full path's
+    formed = []
+    original = propagator.expm_small
+
+    def counted(a, **kwargs):
+        formed.append(len(a))
+        return original(a, **kwargs)
+
+    monkeypatch.setattr(propagator, "expm_small", counted)
+    req = refuted_mid_run(make, dim, index)
+    got = evolve(req)
+    block, chunk = propagator._BLOCK, propagator._chunk(dim)
+    assert got.path == "full"
+    assert sum(formed) == req.steps + (refuted_pair(dim, index) - index * chunk) // block * block
+    assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
 
 
 class TestEvolveWithDecay:
