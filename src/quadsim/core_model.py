@@ -231,7 +231,7 @@ def reference_gap(params: TwoLevelParams | LambdaParams) -> float:
 def from_entry_rows(rows: np.ndarray) -> np.ndarray:
     """The (batch, n, n) matrices held in (n, n, batch) entry rows, as a view.
 
-    Lambda Hamiltonians and every 3x3 step map are stored this way, entries
+    The models' Hamiltonians and every step map are stored this way, entries
     outermost (structure of arrays): the propagator's elementwise kernels then
     read each matrix entry of a batch as one contiguous row."""
     return np.moveaxis(rows, -1, 0)
@@ -244,7 +244,8 @@ def to_entry_rows(u: np.ndarray) -> np.ndarray:
 
 
 class TwoLevelModel:
-    """Builds two-level Hamiltonian batches from schedule samples."""
+    """Builds two-level Hamiltonian batches from schedule samples, in entry
+    rows (:func:`from_entry_rows`), as :class:`LambdaModel` does."""
 
     dim = 2
 
@@ -254,12 +255,10 @@ class TwoLevelModel:
     def hamiltonian_batch(
         self, delta: np.ndarray, omega_p: np.ndarray, omega_s: np.ndarray
     ) -> np.ndarray:
-        n = delta.shape[0]
-        h = np.zeros((n, 2, 2), dtype=complex)
-        h[:, 0, 0] = delta
-        h[:, 0, 1] = 0.5 * omega_p
-        h[:, 1, 0] = 0.5 * omega_p
-        return h
+        h = np.zeros((2, 2, delta.shape[0]), dtype=complex)
+        h[0, 0] = delta
+        h[0, 1] = h[1, 0] = 0.5 * omega_p
+        return from_entry_rows(h)
 
 
 class LambdaModel:

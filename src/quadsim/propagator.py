@@ -28,10 +28,11 @@ Two fixed-step methods:
                     resolve every phase in H, so it diverges (and aborts) on
                     stiff three-level runs.
 
-Every run samples its controls once, a chunk of instants at a time
-(_run_samples): 24 bytes a step at the midpoints, 48 for RK4's 2N + 1 half
-steps.  A PIECEWISE_EXPM run takes an exact identity of the midpoint rule
-where its samples prove one; no option selects it:
+Every run samples its controls a block at a time, as that block's maps are
+formed (_samples, _Sampler): each step's midpoint, or each of RK4's 2N + 1
+half steps, once, but where a mirror run goes back to step 0 (below).  A
+PIECEWISE_EXPM run takes an exact identity of the midpoint rule where its
+samples prove one; no option selects it:
 
     constant  every step's controls, and so its H, are equal (FLAT_PI): the
               one step map is raised to each chunk's length by the product
@@ -53,9 +54,12 @@ where its samples prove one; no option selects it:
 A run is one loop over chunks, each formed by its run's rule: the constant
 power, the mirror's first half, whose chunk roots are kept, or stepped.  A
 refuted mirror is stepped through the roots it kept, so no map outside the
-chunk that refuted it is formed twice.  No run holds more than one chunk of
-maps; the samples are the largest part of a long run.  A stored trajectory
-still takes every map; on a mirror run its last state is the mirror's.
+chunk that refuted it is formed twice; it samples again the mirror images
+its gate sampled, and its refuted chunk up to the refuting block's end.
+Every chunk's maps are formed into one chunk-sized array per run, and no
+other array of a run grows with its step count, so a 10^6-step run peaks as
+high as a 131 072-step one.  A stored trajectory still takes, and samples,
+every step from step 0; on a mirror run its last state is the mirror's.
 
 Propagation is deterministic: identical requests give bit-identical results.
 """
@@ -645,86 +649,113 @@ def _chunk(n: int) -> int:
     return 1 << ((2**21 // (16 * n * n)).bit_length() - 1)
 
 
-def _run_samples(req: EvolveRequest, steps: int) -> np.ndarray:
-    """The controls (delta, omega_p, omega_s) of the whole run as (3, m) rows:
-    at each step's midpoint, m = steps, or for RK4 at every half step, m =
-    2 steps + 1.  Each instant is sampled once, a chunk's count of instants
-    at a time so the sampling temporaries stay chunk-sized; a sample does not
-    depend on the range it is taken in."""
+def _samples(req: EvolveRequest, steps: int, lo: int, hi: int):
+    """The controls (delta, omega_p, omega_s) that steps lo to hi - 1 of a
+    `steps`-step run add, from one _controls call: their midpoints, or for
+    RK4 their half steps 2 lo + 1 to 2 hi, and half step 0 when lo = 0
+    (half step 2 lo ends the step before).  A sample does not depend on the
+    range it is taken in, so the ranges of any partition of the run take
+    each instant once, with the bits of one call on the whole run."""
     dt = req.schedule.duration / steps
-    rk4 = req.method is Method.RK4
-    count = 2 * steps + 1 if rk4 else steps
-    chunk = _chunk(req.model.dim)
-    out = np.empty((3, count))
-    for lo in range(0, count, chunk):
-        k = np.arange(lo, min(lo + chunk, count))
-        t = k * (0.5 * dt) if rk4 else (k + 0.5) * dt
-        for row, x in zip(out[:, lo : lo + chunk], _controls(req, t)):
-            row[...] = x
-    return out
+    if req.method is Method.RK4:
+        return _controls(req, np.arange(2 * lo + (lo > 0), 2 * hi + 1) * (0.5 * dt))
+    return _controls(req, (np.arange(lo, hi) + 0.5) * dt)
+
+
+class _Sampler:
+    """A run's controls, a block of steps lo to hi - 1 at a time, for
+    _step_maps: at their midpoints, or at their 2 (hi - lo) + 1 RK4 half
+    steps.  Blocks taken in step order sample each instant once (_samples):
+    an RK4 block starts from the half step the block before it ended on, and
+    `first`, the controls _structure took from step 0, serve the first block
+    asked for if it starts at step 0 and lies within them."""
+
+    def __init__(self, req: EvolveRequest, steps: int, first=None):
+        self.req, self.steps, self.first = req, steps, first
+        self.edge = None  # RK4: (step, the controls at its first half step)
+
+    def __call__(self, lo: int, hi: int):
+        first, self.first = self.first, None
+        if first is not None and lo == 0 and hi <= len(first[0]):
+            return tuple(x[:hi] for x in first)
+        new = _samples(self.req, self.steps, lo, hi)
+        if self.req.method is Method.RK4:
+            if lo > 0:
+                if self.edge is None or self.edge[0] != lo:
+                    self.edge = lo, [x[-1:] for x in _samples(self.req, self.steps, lo - 1, lo)]
+                new = tuple(np.concatenate(pair) for pair in zip(self.edge[1], new))
+            self.edge = hi, [x[-1:] for x in new]
+        return new
 
 
 def _step_maps(
-    req: EvolveRequest, samples: np.ndarray, lo: int, hi: int, check=None
+    req: EvolveRequest, lo: int, hi: int, check=None, out=None, sample=None
 ) -> np.ndarray | None:
     """The maps of steps lo to hi - 1, exp(-i H dt) or RK4 step matrices, as
-    (n*n, hi - lo) entry rows, the layout the product tree reads.
+    (n*n, hi - lo) entry rows, the layout the product tree reads: the first
+    hi - lo columns of `out`, a run's (n*n, chunk) maps, when given, else a
+    new array.
 
-    `samples` are the run's controls from step 0 (_run_samples).  The
-    Hamiltonian, -i H dt and the maps are formed _BLOCK steps at a time, so
-    their temporaries stay in cache; expm_small writes each block's maps
-    straight into their columns of the one output array (out=), with no
-    copy.  Called on at most one chunk (_chunk) at a time.
-    `check(h, j0, j1)`, when given, sees the H of steps j0 to j1 - 1 before
-    their maps are formed; once it returns False no more maps are formed and
-    None is returned."""
+    Each _BLOCK of steps is sampled (`sample`, the run's _Sampler, else a
+    new one) as its Hamiltonian, -i H dt and maps are formed, so no
+    temporary outgrows a block and all stay in cache; expm_small writes each
+    block's maps straight into their columns (out=), with no copy.  Called
+    on at most one chunk (_chunk) at a time.  `check(h, j0, j1)`, when
+    given, sees the H of steps j0 to j1 - 1 before their maps are formed;
+    once it returns False no more maps are formed and None is returned."""
     n = req.model.dim
-    dt = req.schedule.duration / resolve_steps(req.steps, n)
-    maps = np.empty((n * n, hi - lo), dtype=complex)
-    rk4 = req.method is Method.RK4
-    per_step = 2 if rk4 else 1
-    delta, omega_p, omega_s = samples
+    steps = resolve_steps(req.steps, n)
+    dt = req.schedule.duration / steps
+    if sample is None:
+        sample = _Sampler(req, steps)
+    maps = np.empty((n * n, hi - lo), dtype=complex) if out is None else out[:, : hi - lo]
     for b in range(lo, hi, _BLOCK):
         end = min(b + _BLOCK, hi)
-        # an RK4 block also reads its last step's end, the next block's start
-        part = slice(per_step * b, per_step * end + per_step - 1)
-        h = req.model.hamiltonian_batch(delta[part], omega_p[part], omega_s[part])
+        h = req.model.hamiltonian_batch(*sample(b, end))
         if check is not None and not check(h, b, end):
             return None
         block = maps[:, b - lo : end - lo]
-        if rk4:
+        if req.method is Method.RK4:
             block.reshape(n, n, -1)[...] = np.moveaxis(_rk4_step(-1j * dt * h), 0, -1)
         else:
             expm_small(-1j * dt * h, out=block)
     return maps
 
 
-def _structure(req: EvolveRequest, samples) -> str:
+def _structure(req: EvolveRequest, steps: int):
     """The identity of the midpoint rule that evolve tries on a
-    PIECEWISE_EXPM run, from its midpoint controls: "constant" when every
-    step's controls, and so its H, are equal, unless a trajectory is stored
-    (stepping every map gives the constant path's bits, "full"); else
-    "mirror", which _Mirror.check proves or refutes."""
-    if all(np.all(s == s[0]) for s in samples):
-        return "full" if req.store_trajectory else "constant"
-    return "mirror"
+    PIECEWISE_EXPM run, and the controls of its first block, which the run
+    takes again (_Sampler): "constant" when every step's controls, and so its
+    H, are equal, unless a trajectory is stored (stepping every map gives
+    the constant path's bits, "full"); else "mirror", which _Mirror.check
+    proves or refutes.  The controls are sampled a block at a time, up to
+    the first block that differs from step 0's."""
+    first = block = _samples(req, steps, 0, min(_BLOCK, steps))
+    lo = 0
+    while all(np.all(x == x0[0]) for x, x0 in zip(block, first)):
+        lo += _BLOCK
+        if lo >= steps:
+            return ("full" if req.store_trajectory else "constant"), first
+        block = _samples(req, steps, lo, min(lo + _BLOCK, steps))
+    return "mirror", first
 
 
 class _Mirror:
     """A run's mirror identity (see the module docstring), Pi the swap of
     the first two basis states and c_j the mean of the diagonal of
     H_{N-1-j} - Pi H_j Pi.  check(h, lo, hi), the gate _step_maps calls on
-    each first-half block before its maps are formed, adds the block's
-    dt ||E_j|| (Frobenius) to `bound` and its c_j to `c_sum`, and is false
-    once the bound passes _MIRROR_TOL (inf for an H_j that is not exactly
-    complex symmetric).  final(roots, psi), from the first half's chunk
-    roots in order, is e^(-i dt sum c_j) Pi P^T Pi [M] P psi, P their
-    product and M the middle map of an odd N."""
+    each first-half block before its maps are formed, samples the block's
+    mirror image, steps N - hi to N - lo - 1, adds the block's dt ||E_j||
+    (Frobenius) to `bound` and its c_j to `c_sum`, and is false once the
+    bound passes _MIRROR_TOL (inf for an H_j that is not exactly complex
+    symmetric).  final(roots, psi), from the first half's chunk roots in
+    order, is e^(-i dt sum c_j) Pi P^T Pi [M] P psi, P their product and M
+    the middle map of an odd N."""
 
-    def __init__(self, req: EvolveRequest, samples: np.ndarray):
+    def __init__(self, req: EvolveRequest, steps: int):
         n = req.model.dim
-        self.req, self.samples, self.steps = req, samples, len(samples[0])
-        self.dt = req.schedule.duration / self.steps
+        self.req, self.steps = req, steps
+        self.dt = req.schedule.duration / steps
         swap = [1, 0, *range(2, n)]
         # the rows of (Pi X Pi)_ij = X_{swap i, swap j} and (Pi X^T Pi)_ij
         self.mirrored = [swap[i] * n + swap[j] for i in range(n) for j in range(n)]
@@ -737,7 +768,7 @@ class _Mirror:
         if not _symmetric(first):
             self.bound = math.inf
             return False
-        mirror = [s[steps - hi : steps - lo][::-1] for s in self.samples]
+        mirror = [x[::-1] for x in _samples(self.req, steps, steps - hi, steps - lo)]
         e = to_entry_rows(self.req.model.hamiltonian_batch(*mirror)).reshape(n * n, -1)
         e -= first[self.mirrored]
         c = e[:: n + 1].sum(axis=0) / n
@@ -754,24 +785,26 @@ class _Mirror:
         v = _apply(p, psi[:, None])
         half = self.steps // 2
         if self.steps % 2:
-            v = _apply(_step_maps(self.req, self.samples, half, half + 1), v)
+            v = _apply(_step_maps(self.req, half, half + 1), v)
         return np.exp(-1j * self.dt * self.c_sum) * _apply(p[self.transposed], v)[:, 0]
 
 
 def evolve(req: EvolveRequest) -> EvolveResult:
-    """Propagate req.initial by either method.  The controls are sampled
-    once (_run_samples), and the run is one loop over cache-sized chunks
-    (_chunk), each formed by the rule _structure names (see the module
-    docstring; RK4 looks for none): constant applies the one step map's
-    power (_tree_power); mirror keeps the roots of the first half's chunks,
-    formed under its gate, for _Mirror.final; stepped applies each chunk's
-    root, or _chain_apply writes every state into a stored trajectory.  A
-    refuted mirror restarts the loop at step 0, stepped, through the roots
-    it kept; a stored trajectory is stepped from 0 once the mirror is
-    refuted or proved.  Each chunk's maps are freed before the next chunk's
-    are formed, and the state is checked after each chunk.  Raises
-    ValueError for a bad request (dimension, steps < MIN_STEPS, unknown
-    method) and IntegrationError for non-finite amplitudes or norm growth."""
+    """Propagate req.initial by either method.  The run is one loop over
+    cache-sized chunks (_chunk), each formed by the rule _structure names
+    (see the module docstring; RK4 looks for none): constant applies the one
+    step map's power (_tree_power); mirror keeps the roots of the first
+    half's chunks, formed under its gate, for _Mirror.final; stepped applies
+    each chunk's root, or _chain_apply writes every state into a stored
+    trajectory.  A refuted mirror restarts the loop at step 0, stepped,
+    through the roots it kept; a stored trajectory is stepped from 0 once
+    the mirror is refuted or proved.  The controls are sampled block by
+    block as the maps are formed (_Sampler), and every chunk's maps are
+    formed into one (n*n, chunk) array, allocated once per run, so no array
+    of the run but a stored trajectory grows with its step count.  The state
+    is checked after each chunk.  Raises ValueError for a bad request
+    (dimension, steps < MIN_STEPS, unknown method) and IntegrationError for
+    non-finite amplitudes or norm growth."""
     dim = req.model.dim
     if req.initial.dim != dim:
         raise ValueError(f"state dimension {req.initial.dim} != model dimension {dim}")
@@ -783,13 +816,15 @@ def evolve(req: EvolveRequest) -> EvolveResult:
 
     psi = initial = np.array(req.initial.amplitudes, dtype=complex)
     traj_states = np.empty((steps + 1, dim), dtype=complex) if req.store_trajectory else None
-    samples = _run_samples(req, steps)
-    path = _structure(req, samples) if req.method is Method.PIECEWISE_EXPM else "full"
+    path, first = _structure(req, steps) if req.method is Method.PIECEWISE_EXPM else ("full", None)
+    sample = _Sampler(req, steps, first)
     chunk, lo, end, roots, mirror, check = _chunk(dim), 0, steps, [], None, None
+    # every chunk's maps are formed into this one array
+    maps = np.empty((dim * dim, min(chunk, steps)), dtype=complex)
     if path == "constant":
-        one = _step_maps(req, samples, 0, 1)
+        one = _step_maps(req, 0, 1, sample=sample)
     elif path == "mirror":
-        mirror = _Mirror(req, samples)
+        mirror = _Mirror(req, steps)
         check, end = mirror.check, steps // 2
 
     # divergence, as of RK4 on a stiff run, is caught by the norm check, so
@@ -800,20 +835,23 @@ def evolve(req: EvolveRequest) -> EvolveResult:
             if path == "constant":
                 psi = _apply(_tree_power(one, hi - lo), psi[:, None])[:, 0]
             elif check is not None:
-                u = _step_maps(req, samples, lo, hi, check)
+                u = _step_maps(req, lo, hi, check, maps, sample)
                 if u is None:  # refuted: restart, stepped through the kept roots
                     path, check, lo, end = "full", None, 0, steps
                     continue
-                roots.append(_up_sweep(u))
+                # a copy: the root of a one-step chunk is a view of `maps`
+                roots.append(_up_sweep(u).copy())
             elif traj_states is not None:
                 # the trajectory's states, the chunk's first included,
                 # are written straight into its storage
-                u = _step_maps(req, samples, lo, hi)
+                u = _step_maps(req, lo, hi, out=maps, sample=sample)
                 psi = _chain_apply(u, psi, traj_states[lo : hi + 1])[-1].copy()
             else:
-                root = roots.pop(0) if roots else _up_sweep(_step_maps(req, samples, lo, hi))
+                if roots:
+                    root = roots.pop(0)
+                else:
+                    root = _up_sweep(_step_maps(req, lo, hi, out=maps, sample=sample))
                 psi = _apply(root, psi[:, None])[:, 0]
-            u = None  # freed before the next chunk's maps are formed
             final_norm_sq = _check_state(psi)
             lo = hi
             if check is not None and lo == end and traj_states is not None:

@@ -1181,9 +1181,8 @@ def test_step_maps_match_whole_chunk_exponential(monkeypatch, make, dim, kernels
     dt = req.schedule.duration / req.steps
     mid = (np.arange(lo, lo + length) + 0.5) * dt
     expected = expm_small(-1j * dt * hamiltonian(req, mid))
-    samples = propagator._run_samples(req, req.steps)
     taken = spy_kernels(monkeypatch)
-    rows = propagator._step_maps(req, samples, lo, lo + length)
+    rows = propagator._step_maps(req, lo, lo + length)
     assert set(taken) == kernels
     # contiguous entry rows, which the product tree reads without a copy
     assert rows.shape == (dim * dim, length) and rows.flags.c_contiguous
@@ -1308,7 +1307,7 @@ STEP_COUNTS = [
 def full_path(monkeypatch, req: EvolveRequest) -> EvolveResult:
     """req evolved with _structure forced to find no structure."""
     with monkeypatch.context() as m:
-        m.setattr(propagator, "_structure", lambda req, samples: "full")
+        m.setattr(propagator, "_structure", lambda req, steps: ("full", None))
         result = evolve(req)
     assert result.path == "full" and result.mirror_bound is None
     return result
@@ -1520,12 +1519,13 @@ def test_mirror_gate_at_the_bound(monkeypatch, past):
     target = propagator._MIRROR_TOL * (1.001 if past else 0.999)
     shift = (abs(two_a) + math.sqrt(2) * (target - base) / dt) - two_a
     original = propagator._controls
+    last = (steps - 1 + 0.5) * dt
 
     def perturbed(req, t):
+        # step N - 1's midpoint, in whichever block samples it
         delta, omega_p, omega_s = original(req, t)
-        if len(t) == steps:
-            delta = delta.copy()
-            delta[-1] += shift
+        if np.any(t == last):
+            delta = np.where(t == last, delta + shift, delta)
         return delta, omega_p, omega_s
 
     monkeypatch.setattr(propagator, "_controls", perturbed)
@@ -1559,25 +1559,42 @@ def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, refuted_at",
     [
-        *INELIGIBLE,
-        pytest.param(functools.partial(two_level_request, steps=20_001), id="mirror"),
+        *(pytest.param(*p.values, 0, id=p.id) for p in INELIGIBLE),
+        pytest.param(functools.partial(two_level_request, steps=20_001), None, id="mirror"),
+        pytest.param(
+            functools.partial(
+                two_level_request,
+                ScheduleKind.FLAT_PI,
+                TWO_LEVEL_T[ScheduleKind.FLAT_PI],
+                steps=2 * propagator._BLOCK + 5,
+            ),
+            None,
+            id="constant",
+        ),
         pytest.param(
             functools.partial(lambda_request, GAMMA, 2 * propagator._chunk(3) + 3),
+            0,
             id="lambda-siquad-2chunks+3",
         ),
         pytest.param(
             functools.partial(two_level_request, steps=propagator._chunk(2) + 5, method=Method.RK4),
+            None,
             id="rk4-chunk+5",
         ),
         pytest.param(
-            functools.partial(refuted_mid_run, two_level_request, 2), id="mirror-refuted-mid-run"
+            functools.partial(refuted_mid_run, two_level_request, 2),
+            refuted_pair(2),
+            id="mirror-refuted-mid-run",
         ),
     ],
 )
-def test_controls_sampled_once_per_step(monkeypatch, make):
-    # at each step's midpoint, for RK4 at each of the 2 N + 1 half steps
+def test_controls_sampled_once_per_step(monkeypatch, make, refuted_at):
+    # at each step's midpoint, for RK4 at each of the 2 N + 1 half steps.  A
+    # run the gate refutes at step j also samples the mirror images of the
+    # first half's blocks up to j's, and its refuted chunk's steps up to the
+    # end of j's block again, as the stepped run forms that chunk
     sampled = []
     original = propagator._controls
 
@@ -1587,8 +1604,14 @@ def test_controls_sampled_once_per_step(monkeypatch, make):
 
     monkeypatch.setattr(propagator, "_controls", counted)
     req = make()
-    evolve(req)
-    assert sum(sampled) == (2 * req.steps + 1 if req.method is Method.RK4 else req.steps)
+    result = evolve(req)
+    extra = 0
+    if refuted_at is not None:
+        block, chunk = propagator._BLOCK, propagator._chunk(req.model.dim)
+        end = min((refuted_at // block + 1) * block, req.steps // 2)
+        extra = end + end - refuted_at // chunk * chunk
+        assert result.path == "full" and result.mirror_bound > propagator._MIRROR_TOL
+    assert sum(sampled) == (2 * req.steps + 1 if req.method is Method.RK4 else req.steps) + extra
 
 
 @pytest.mark.parametrize(
@@ -1607,15 +1630,19 @@ def test_controls_sampled_once_per_step(monkeypatch, make):
     ],
 )
 def test_run_samples_do_not_depend_on_chunking(make, dim, method):
-    # _run_samples takes a chunk's count of instants at a time: the same bits
-    # as one _controls call on every instant of the run
+    # _samples over ranges that cut blocks and chunks anywhere take the run's
+    # instants once each, with the bits of one _controls call on all of them
     steps = 2 * propagator._chunk(dim) + 3
     req = make(steps=steps, method=method)
     dt = req.schedule.duration / steps
     k = np.arange(2 * steps + 1 if method is Method.RK4 else steps)
     t = k * (0.5 * dt) if method is Method.RK4 else (k + 0.5) * dt
     expected = np.array(propagator._controls(req, t))
-    assert propagator._run_samples(req, steps).tobytes() == expected.tobytes()
+    block, chunk = propagator._BLOCK, propagator._chunk(dim)
+    cuts = [0, 1, 2, block - 1, block + 1, chunk, chunk + 3 * block + 5, 2 * chunk + 1, steps]
+    pieces = [propagator._samples(req, steps, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    got = np.concatenate([np.array(piece) for piece in pieces], axis=1)
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -1700,6 +1727,40 @@ def test_refuted_mirror_forms_each_map_once(monkeypatch, make, dim, index):
     assert got.path == "full"
     assert sum(formed) == req.steps + (refuted_pair(dim, index) - index * chunk) // block * block
     assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
+
+
+@pytest.mark.parametrize("make, dim", REFUTED)
+@pytest.mark.parametrize("refuted", [False, True], ids=["proved", "refuted"])
+def test_kept_one_step_root_owns_its_memory(monkeypatch, make, dim, refuted):
+    # N/2 = 1 (mod _chunk): the first half's last chunk is one step, whose
+    # root _up_sweep returns as a view of the run's maps.  A proved mirror
+    # with a stored trajectory forms every map into that array again before
+    # its final state is taken from the kept roots; a refuted one is refuted
+    # at that step and stepped through the roots kept before it
+    steps = 2 * (propagator._chunk(dim) + 1)
+    if refuted:
+        req = make(steps=steps)
+        # pair j = N/2 - 1, the first half's last step
+        req = replace(req, schedule=DetunedStep(req.schedule, steps, steps // 2, 1e-3 * OMEGA_M))
+        got = evolve(req)
+        assert got.path == "full" and got.mirror_bound > propagator._MIRROR_TOL
+        assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
+    else:
+        req = make(steps=steps, store_trajectory=True)
+        traced, plain = evolve(req), evolve(replace(req, store_trajectory=False))
+        assert traced.path == plain.path == "mirror"
+        assert np.array_equal(traced.final.amplitudes, plain.final.amplitudes)
+        full = full_path(monkeypatch, req)
+        assert np.array_equal(traced.trajectory[1][:-1], full.trajectory[1][:-1])
+
+
+def test_rk4_maps_do_not_depend_on_the_range():
+    # a range that starts off step 0 samples the half step it starts from,
+    # as a run's later blocks take it from the block before: the same bits
+    req = two_level_request(steps=propagator._BLOCK + 20, method=Method.RK4)
+    whole = propagator._step_maps(req, 0, req.steps)
+    lo, hi = propagator._BLOCK - 3, propagator._BLOCK + 9
+    assert np.array_equal(propagator._step_maps(req, lo, hi), whole[:, lo:hi])
 
 
 class TestEvolveWithDecay:
@@ -1895,9 +1956,9 @@ class TestTrajectoryCsv:
 UNIT = 65536
 
 
-def peak_in_chunks(run: RunSpec, duration: float = 2.85e-3, **kwargs) -> float:
-    """tracemalloc peak of a SIQUAD run_protocol (after one untraced warm-up),
-    in units of UNIT (n, n) complex step maps."""
+def peak_bytes(run: RunSpec, duration: float = 2.85e-3, **kwargs) -> int:
+    """tracemalloc peak in bytes of a SIQUAD run_protocol (after one
+    untraced warm-up)."""
     run_protocol(run, ScheduleKind.SIQUAD, duration, **kwargs)
     tracemalloc.start()
     try:
@@ -1905,26 +1966,41 @@ def peak_in_chunks(run: RunSpec, duration: float = 2.85e-3, **kwargs) -> float:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def peak_in_chunks(run: RunSpec, duration: float = 2.85e-3, **kwargs) -> float:
+    """peak_bytes in units of UNIT (n, n) complex step maps."""
     n = make_model(run.params).dim
-    return peak / (UNIT * n * n * np.dtype(complex).itemsize)
+    return peak_bytes(run, duration, **kwargs) / (UNIT * n * n * np.dtype(complex).itemsize)
 
 
 @pytest.mark.parametrize("steps", [UNIT, 2 * UNIT])
 def test_lambda_chunk_peak_memory(lambda_params, steps):
-    # a run forms 8192 maps at a time and holds its samples, 0.49 units at
-    # one unit of steps and 0.66 at two; any unit-sized array of maps would
-    # cross the bound
+    # a run forms every 8192-step chunk's maps into one array and samples a
+    # block at a time: 0.30 units at one unit of steps and at two, bounded
+    # with a margin of 0.05 units (295 KB); holding the whole run's samples
+    # would read 0.46 and 0.63
     run = RunSpec(lambda_params, delta_m=DELTA_M, steps=steps)
-    assert peak_in_chunks(run) <= 1.0
+    assert peak_in_chunks(run) <= 0.35
 
 
 @pytest.mark.parametrize("steps", [UNIT, 2 * UNIT])
 def test_two_level_chunk_peak_memory(two_level_params, steps):
-    # a mirror run forms its first half 32 768 maps at a time, 1.28 units at
-    # one unit of steps and 1.66 at two, samples included (24 bytes a step,
-    # 0.75 units at two); forming a unit's maps at once would cross the bound
+    # a mirror run forms its first half 32 768 maps at a time into one array
+    # and samples a block at a time: 0.92 units at one unit of steps and at
+    # two, bounded with a margin of 0.13 units (0.5 MB); holding the whole
+    # run's samples would read 1.28 and 1.66
     run = RunSpec(two_level_params, delta_m=DELTA_M, steps=steps)
-    assert peak_in_chunks(run, 5.83 * TAU_PI) <= 2.0
+    assert peak_in_chunks(run, 5.83 * TAU_PI) <= 1.05
+
+
+def test_lambda_peak_memory_does_not_grow_with_steps(lambda_params):
+    # no array of a run but a stored trajectory grows with its step count:
+    # 10^6 full-path steps peak within 5 % of 131 072 (2.8 MB both; holding
+    # the whole run's samples would read 25.5 and 5.7 MiB)
+    long, short = (RunSpec(lambda_params, delta_m=DELTA_M, steps=n) for n in (10**6, 2 * UNIT))
+    assert peak_bytes(long) <= 1.05 * peak_bytes(short)
 
 
 def trajectory_csv_peak(rows: int) -> int:
@@ -1959,12 +2035,12 @@ def test_trajectory_csv_peak_memory():
 
 
 def test_lambda_trajectory_peak_memory(lambda_params_no_decay):
-    # two units: the stored trajectory (2/3 of a unit of maps), the samples
-    # (1/3), and one 8192-step chunk's maps and product tree levels, 1.34 in
-    # all; forming a unit's maps at once, as each 65 536-step chunk once
-    # did, read 3.50
+    # two units: the stored trajectory (2/3 of a unit of maps) and one
+    # 8192-step chunk's maps, product tree levels and block temporaries,
+    # 1.01 in all (1.34 holding the whole run's samples); forming a unit's
+    # maps at once would read 3.50
     run = RunSpec(lambda_params_no_decay, delta_m=DELTA_M, steps=2 * UNIT)
-    assert peak_in_chunks(run, store_trajectory=True) <= 2.0
+    assert peak_in_chunks(run, store_trajectory=True) <= 1.15
 
 
 def test_run_protocol_convenience(two_level_params):
