@@ -28,6 +28,11 @@ from .sweeps import (
 )
 
 _FLOAT_FMT = ".15e"
+_AXIS_LABELS = {
+    Axis.DURATION: "operation time (s)",
+    Axis.AMPLITUDE_SCALE: "amplitude scale",
+    Axis.DETUNING_OFFSET: "detuning offset (rad/s)",
+}
 
 
 def _out_stem(cfg_arg: str, out_dir: Path) -> Path:
@@ -61,7 +66,11 @@ def cmd_simulate(cfg: RunConfig, cfg_arg: str, out_dir: Path, trajectory: bool) 
         raise ConfigError("key protocol: simulate requires exactly one protocol")
     _require_durations(cfg.run)
     protocol = cfg.run.protocols[0]
-    result = run_protocol(cfg.run, protocol, store_trajectory=trajectory)
+    try:
+        result = run_protocol(cfg.run, protocol, store_trajectory=trajectory)
+    except (IntegrationError, ValueError) as exc:
+        # as sweep and compare report a failed run (sweeps._run_task)
+        raise IntegrationError(f"simulate failed at protocol={protocol.value}: {exc}") from exc
     metrics = transfer_metrics(result.final, TARGET_INDEX)
     stem = _out_stem(cfg_arg, out_dir)
     _write_metrics_csv(f"{stem}.metrics.csv", cfg.run, protocol, result, metrics)
@@ -88,31 +97,16 @@ def cmd_sweep(cfg: RunConfig, cfg_arg: str, out_dir: Path, plot: bool) -> int:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if plot:
-        axis = cfg.sweep.window.axis
-        series = []
-        xs = result.axis_values()
-        for protocol in cfg.run.protocols:
-            ys = (
-                result.fidelities_for(protocol)
-                if axis is Axis.DURATION
-                else result.errors_for(protocol)
-            )
-            series.append((protocol.value, xs, ys))
         from .plotting import write_line_svg
 
+        axis = cfg.sweep.window.axis
         if axis is Axis.DURATION:
-            write_line_svg(
-                f"{stem}.sweep.svg", series, "operation time (s)", "transfer fidelity"
-            )
+            ylabel, logy, ys = "transfer fidelity", False, result.fidelities_for
         else:
-            xlabel = (
-                "amplitude scale"
-                if axis is Axis.AMPLITUDE_SCALE
-                else "detuning offset (rad/s)"
-            )
-            write_line_svg(
-                f"{stem}.sweep.svg", series, xlabel, "transfer error", logy=True
-            )
+            ylabel, logy, ys = "transfer error", True, result.errors_for
+        xs = result.axis_values()
+        series = [(protocol.value, xs, ys(protocol)) for protocol in cfg.run.protocols]
+        write_line_svg(f"{stem}.sweep.svg", series, _AXIS_LABELS[axis], ylabel, logy=logy)
         print(f"wrote {stem}.sweep.svg")
     print(f"wrote {csv_path} ({len(result.rows)} rows)")
     return 0

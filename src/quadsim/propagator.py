@@ -30,7 +30,7 @@ Two fixed-step methods:
 
 Every run samples its controls a block at a time, as that block's maps are
 formed (_samples, _Sampler): each step's midpoint, or each of RK4's 2N + 1
-half steps, once, but where a mirror run goes back to step 0 (below).  A
+half steps, once, but where a mirror run samples some again (below).  A
 PIECEWISE_EXPM run takes an exact identity of the midpoint rule where its
 samples prove one; no option selects it:
 
@@ -51,15 +51,18 @@ samples prove one; no option selects it:
     full      RK4, which looks for no structure, and every run the samples
               refute: each step's map is formed and applied.
 
-A run is one loop over chunks, each formed by its run's rule: the constant
-power, the mirror's first half, whose chunk roots are kept, or stepped.  A
-refuted mirror is stepped through the roots it kept, so no map outside the
-chunk that refuted it is formed twice; it samples again the mirror images
-its gate sampled, and its refuted chunk up to the refuting block's end.
-Every chunk's maps are formed into one chunk-sized array per run, and no
-other array of a run grows with its step count, so a 10^6-step run peaks as
-high as a 131 072-step one.  A stored trajectory still takes, and samples,
-every step from step 0; on a mirror run its last state is the mirror's.
+A run is one forward pass over chunks, each yielding one root: the constant
+power, or the product tree of its maps, formed under the mirror's gate in
+the first half.  The state steps through each chunk, the mirror's too, while
+the mirror multiplies their roots into P, so a refuted mirror steps on from
+the chunk that refuted it: only that chunk's blocks before the refuting one
+are formed twice, and sampled twice with the mirror images its gate took.  A
+proved mirror's final state comes from P; a stored trajectory steps on from
+the start of the first-half chunk cut at N/2, forming its maps again whole,
+so every state but the last, the mirror's, is the full path's.  Every
+chunk's maps are formed into one chunk-sized array per run, and no other
+array of a run grows with its step count, so a 10^6-step run peaks as high
+as a 131 072-step one.
 
 Propagation is deterministic: identical requests give bit-identical results.
 """
@@ -558,24 +561,25 @@ def _unitarize(u: np.ndarray) -> np.ndarray:
     return from_entry_rows(out.reshape(n, n, -1))
 
 
-def _chain_apply(rows: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _chain_apply(levels: list, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rows U[k] @ ... @ U[0] @ psi, every one, for the maps U held in the
-    (n*n, k + 1) entry rows `rows`: written in place to out[1:], a (k + 2, n)
-    array (and psi to out[0]), and returned as that view.
+    (n*n, k + 1) entry rows levels[0]: written in place to out[1:], a
+    (k + 2, n) array (and psi to out[0]), and returned as that view.
 
-    One pairwise tree, a Blelloch scan.  Up (_up_sweep): level l + 1
-    multiplies pairs of level l and carries an odd last map; root @ psi is
-    the last state.  Down: member 2j of level l takes column 2j*2**l of
-    `states` to (2j+1)*2**l, where column k + 1 is the state after map k; the
-    rest came from above."""
-    levels = [rows]
-    _up_sweep(rows, levels)
+    One pairwise tree, a Blelloch scan, whose levels the caller's _up_sweep
+    appended to `levels`: level l + 1 multiplies pairs of level l and
+    carries an odd last map, and root @ psi is the last state.  This walks
+    down: member 2j of level l takes column 2j*2**l of `states` to
+    (2j+1)*2**l, where column k + 1 is the state after map k; the rest came
+    from above.  Each level is popped from `levels` as it is walked, so none
+    outlives the walk."""
     states = out.T
     states[:, 0] = psi
-    states[:, -1:] = _apply(levels[-1], states[:, :1])
-    for l in reversed(range(len(levels) - 1)):
-        w, end = 2**l, levels[l].shape[-1] // 2 * 2
-        states[:, w : end * w : 2 * w] = _apply(levels[l][:, :end:2], states[:, : end * w : 2 * w])
+    states[:, -1:] = _apply(levels.pop(), states[:, :1])
+    for l in reversed(range(len(levels))):
+        m = levels.pop()
+        w, end = 2**l, m.shape[-1] // 2 * 2
+        states[:, w : end * w : 2 * w] = _apply(m[:, :end:2], states[:, : end * w : 2 * w])
     return states[:, 1:].T
 
 
@@ -748,9 +752,9 @@ class _Mirror:
     mirror image, steps N - hi to N - lo - 1, adds the block's dt ||E_j||
     (Frobenius) to `bound` and its c_j to `c_sum`, and is false once the
     bound passes _MIRROR_TOL (inf for an H_j that is not exactly complex
-    symmetric).  final(roots, psi), from the first half's chunk roots in
-    order, is e^(-i dt sum c_j) Pi P^T Pi [M] P psi, P their product and M
-    the middle map of an odd N."""
+    symmetric).  keep(root), called with each first-half chunk's root in
+    order, multiplies it into P, the first half's product.  final(psi) is
+    e^(-i dt sum c_j) Pi P^T Pi [M] P psi, M the middle map of an odd N."""
 
     def __init__(self, req: EvolveRequest, steps: int):
         n = req.model.dim
@@ -760,7 +764,7 @@ class _Mirror:
         # the rows of (Pi X Pi)_ij = X_{swap i, swap j} and (Pi X^T Pi)_ij
         self.mirrored = [swap[i] * n + swap[j] for i in range(n) for j in range(n)]
         self.transposed = [swap[j] * n + swap[i] for i in range(n) for j in range(n)]
-        self.bound, self.c_sum = 0.0, 0j
+        self.bound, self.c_sum, self.p = 0.0, 0j, None
 
     def check(self, h: np.ndarray, lo: int, hi: int) -> bool:
         n, steps = self.req.model.dim, self.steps
@@ -780,31 +784,35 @@ class _Mirror:
         self.c_sum += c.sum()
         return self.bound <= _MIRROR_TOL
 
-    def final(self, roots: list, psi: np.ndarray) -> np.ndarray:
-        p = functools.reduce(lambda p, root: _mul(root, p), roots)
-        v = _apply(p, psi[:, None])
+    def keep(self, root: np.ndarray) -> None:
+        # the first root owns its memory: only a one-step chunk's root is a
+        # view of the run's maps, and the first chunk has min(chunk, N/2) >= 5 steps
+        self.p = root if self.p is None else _mul(root, self.p)
+
+    def final(self, psi: np.ndarray) -> np.ndarray:
+        v = _apply(self.p, psi[:, None])
         half = self.steps // 2
         if self.steps % 2:
             v = _apply(_step_maps(self.req, half, half + 1), v)
-        return np.exp(-1j * self.dt * self.c_sum) * _apply(p[self.transposed], v)[:, 0]
+        return np.exp(-1j * self.dt * self.c_sum) * _apply(self.p[self.transposed], v)[:, 0]
 
 
 def evolve(req: EvolveRequest) -> EvolveResult:
-    """Propagate req.initial by either method.  The run is one loop over
-    cache-sized chunks (_chunk), each formed by the rule _structure names
-    (see the module docstring; RK4 looks for none): constant applies the one
-    step map's power (_tree_power); mirror keeps the roots of the first
-    half's chunks, formed under its gate, for _Mirror.final; stepped applies
-    each chunk's root, or _chain_apply writes every state into a stored
-    trajectory.  A refuted mirror restarts the loop at step 0, stepped,
-    through the roots it kept; a stored trajectory is stepped from 0 once
-    the mirror is refuted or proved.  The controls are sampled block by
-    block as the maps are formed (_Sampler), and every chunk's maps are
-    formed into one (n*n, chunk) array, allocated once per run, so no array
-    of the run but a stored trajectory grows with its step count.  The state
-    is checked after each chunk.  Raises ValueError for a bad request
-    (dimension, steps < MIN_STEPS, unknown method) and IntegrationError for
-    non-finite amplitudes or norm growth."""
+    """Propagate req.initial by either method, in one forward pass over
+    cache-sized chunks (_chunk).  Each chunk yields one root by the rule
+    _structure names (see the module docstring; RK4 looks for none): the
+    one step map's power (_tree_power) for a constant drive, else the
+    _up_sweep of its maps, formed under the mirror's gate in the first
+    half.  The state takes each chunk's root, or _chain_apply walks its
+    tree down into a stored trajectory, and the mirror multiplies the first
+    half's roots into its product (_Mirror.keep).  A refuted mirror steps
+    on from the refuting chunk; a proved one with a stored trajectory, from
+    the start of the chunk cut at N/2.  The controls are sampled block by
+    block as the maps are formed (_Sampler) into one (n*n, chunk) array per
+    run, so no array of the run but a stored trajectory grows with its step
+    count.  The state is checked after each chunk.  Raises ValueError for a
+    bad request (dimension, steps < MIN_STEPS, unknown method) and
+    IntegrationError for non-finite amplitudes or norm growth."""
     dim = req.model.dim
     if req.initial.dim != dim:
         raise ValueError(f"state dimension {req.initial.dim} != model dimension {dim}")
@@ -818,7 +826,7 @@ def evolve(req: EvolveRequest) -> EvolveResult:
     traj_states = np.empty((steps + 1, dim), dtype=complex) if req.store_trajectory else None
     path, first = _structure(req, steps) if req.method is Method.PIECEWISE_EXPM else ("full", None)
     sample = _Sampler(req, steps, first)
-    chunk, lo, end, roots, mirror, check = _chunk(dim), 0, steps, [], None, None
+    chunk, lo, end, mirror, check = _chunk(dim), 0, steps, None, None
     # every chunk's maps are formed into this one array
     maps = np.empty((dim * dim, min(chunk, steps)), dtype=complex)
     if path == "constant":
@@ -833,31 +841,30 @@ def evolve(req: EvolveRequest) -> EvolveResult:
         while lo < end:
             hi = min(lo + chunk, end)
             if path == "constant":
-                psi = _apply(_tree_power(one, hi - lo), psi[:, None])[:, 0]
-            elif check is not None:
+                root, levels = _tree_power(one, hi - lo), None
+            else:
                 u = _step_maps(req, lo, hi, check, maps, sample)
-                if u is None:  # refuted: restart, stepped through the kept roots
-                    path, check, lo, end = "full", None, 0, steps
+                if u is None:  # refuted: step on from this chunk
+                    path, check, end = "full", None, steps
                     continue
-                # a copy: the root of a one-step chunk is a view of `maps`
-                roots.append(_up_sweep(u).copy())
-            elif traj_states is not None:
+                levels = [u] if traj_states is not None else None
+                root = _up_sweep(u, levels)
+            if check is not None:
+                mirror.keep(root)
+                if hi == end:  # proved: a stored trajectory steps on, a plain run ends
+                    check, end = None, steps if traj_states is not None else lo
+                    if hi - lo < chunk:  # cut at N/2: only its root counts
+                        continue
+            if levels is not None:
                 # the trajectory's states, the chunk's first included,
                 # are written straight into its storage
-                u = _step_maps(req, lo, hi, out=maps, sample=sample)
-                psi = _chain_apply(u, psi, traj_states[lo : hi + 1])[-1].copy()
+                psi = _chain_apply(levels, psi, traj_states[lo : hi + 1])[-1].copy()
             else:
-                if roots:
-                    root = roots.pop(0)
-                else:
-                    root = _up_sweep(_step_maps(req, lo, hi, out=maps, sample=sample))
                 psi = _apply(root, psi[:, None])[:, 0]
             final_norm_sq = _check_state(psi)
             lo = hi
-            if check is not None and lo == end and traj_states is not None:
-                check, lo, end = None, 0, steps  # proved: the trajectory takes every map
         if path == "mirror":
-            psi = mirror.final(roots, initial)
+            psi = mirror.final(initial)
             final_norm_sq = _check_state(psi)
     if final_norm_sq > 1.0 + 1e-9:
         raise IntegrationError(

@@ -291,6 +291,34 @@ points = 5
 """
 
 
+REFUSED_STEP = """
+scenario = three_level
+protocol = stirap
+omega0_hz = 1e9
+delta_big_hz = 1e9
+T_s = 1e-2
+steps = 10
+
+[sweep]
+axis = amplitude_scale
+lo = 0.9
+hi = 1.1
+points = 3
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+def test_refused_step_map_is_integration_failure(tmp_path, capsys, command):
+    # the step exponential refuses maps of Frobenius norm about 7.8e6
+    # (ValueError): every command reports that as a failed run of the
+    # protocol, with exit 2 and no traceback
+    cfg_path = write_config(tmp_path, REFUSED_STEP)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("integration failure:") and "protocol=stirap_gaussian" in err
+    assert "largest Frobenius norm" in err and "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_csv_rows_and_meta(self, tmp_path):
         cfg_path = write_config(tmp_path, SWEEP_CFG, "scan.cfg")

@@ -939,7 +939,9 @@ class TestChainApply:
         expected = sequential_states(u, psi)
         out = np.empty((count + 1, dim), dtype=complex)
         rows = to_entry_rows(u).reshape(dim * dim, -1)
-        every = propagator._chain_apply(rows, psi, out)
+        levels = [rows]
+        propagator._up_sweep(rows, levels)
+        every = propagator._chain_apply(levels, psi, out)
         # written in place: psi to row 0, the state after map k to row k + 1
         assert every.shape == (count, dim) and np.shares_memory(every, out)
         assert np.array_equal(out[0], psi) and np.array_equal(out[1:], every)
@@ -957,8 +959,9 @@ class TestChainApply:
 
         monkeypatch.setattr(propagator, "_mul", no_product)
         out = np.empty((2, 3), dtype=complex)
-        rows = to_entry_rows(u).reshape(9, 1)
-        assert np.array_equal(propagator._chain_apply(rows, psi, out), [u[0] @ psi])
+        levels = [to_entry_rows(u).reshape(9, 1)]
+        propagator._up_sweep(levels[0], levels)
+        assert np.array_equal(propagator._chain_apply(levels, psi, out), [u[0] @ psi])
 
 
 class ReversedSchedule:
@@ -1313,6 +1316,27 @@ def full_path(monkeypatch, req: EvolveRequest) -> EvolveResult:
     return result
 
 
+def counted_evolve(monkeypatch, req: EvolveRequest) -> tuple[EvolveResult, int, int]:
+    """req evolved, with the maps expm_small formed and the instants
+    _controls sampled on the way, counted."""
+    maps, samples = [], []
+    expm, controls = propagator.expm_small, propagator._controls
+
+    def spy_expm(a, **kwargs):
+        maps.append(len(a))
+        return expm(a, **kwargs)
+
+    def spy_controls(req, t):
+        samples.append(len(t))
+        return controls(req, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(propagator, "expm_small", spy_expm)
+        m.setattr(propagator, "_controls", spy_controls)
+        result = evolve(req)
+    return result, sum(maps), sum(samples)
+
+
 def agreement_bound(req: EvolveRequest) -> float:
     """max(1e-9, 4 eps N max ||H dt||): how far a structured run's final
     state may lie from the full path's."""
@@ -1350,6 +1374,12 @@ class DetunedStep:
 
     def pulses(self, t):
         return self.schedule.pulses(t)
+
+
+def half_past_first_chunk(dim: int) -> int:
+    # an odd step count whose first half ends 3 blocks and 5 steps into its
+    # second chunk
+    return 2 * (propagator._chunk(dim) + 3 * propagator._BLOCK + 5) + 1
 
 
 def refuted_pair(dim: int, index: int = 1) -> int:
@@ -1415,16 +1445,9 @@ def test_lambda_stirap_mirror_matches_full_path(monkeypatch, gamma, steps):
 
 @pytest.mark.parametrize("steps", [4098, 4099])
 def test_mirror_run_forms_half_the_maps(monkeypatch, steps):
-    formed = []
-    original = propagator.expm_small
-
-    def counted(a, **kwargs):
-        formed.append(len(a))
-        return original(a, **kwargs)
-
-    monkeypatch.setattr(propagator, "expm_small", counted)
-    assert evolve(two_level_request(steps=steps)).path == "mirror"
-    assert sum(formed) == (steps + 1) // 2
+    got, formed, _ = counted_evolve(monkeypatch, two_level_request(steps=steps))
+    assert got.path == "mirror"
+    assert formed == (steps + 1) // 2
 
 
 def unequal_stirap_peaks(steps: int = 20_000) -> EvolveRequest:
@@ -1490,19 +1513,51 @@ def test_rk4_looks_for_no_structure(protocol):
         pytest.param(
             functools.partial(refuted_mid_run, two_level_request, 2), "full", id="refuted-mid-run"
         ),
+        # N/2 past the first chunk, so that a run resuming at step 0, at N/2
+        # or at the start of the chunk cut at N/2 shows
+        pytest.param(
+            lambda **kwargs: two_level_request(steps=half_past_first_chunk(2), **kwargs),
+            "mirror",
+            id="two-level-mirror-past-first-chunk",
+        ),
+        pytest.param(
+            lambda **kwargs: stirap_request(GAMMA, half_past_first_chunk(3), **kwargs),
+            "mirror",
+            id="stirap-mirror-past-first-chunk",
+        ),
+        pytest.param(
+            functools.partial(refuted_mid_run, two_level_request, 2, 1),
+            "full",
+            id="two-level-refuted-past-first-chunk",
+        ),
+        pytest.param(
+            functools.partial(refuted_mid_run, functools.partial(stirap_request, GAMMA), 3, 1),
+            "full",
+            id="stirap-refuted-past-first-chunk",
+        ),
     ],
 )
 def test_stored_trajectory_steps_every_map(monkeypatch, make, path):
     # every state on the way is the full path's; the last one is the plain
     # run's final state, so storing a trajectory changes no reported number
     req = make(store_trajectory=True)
-    traced = evolve(req)
+    traced, formed, sampled = counted_evolve(monkeypatch, req)
     full = full_path(monkeypatch, req)
-    plain = evolve(replace(req, store_trajectory=False))
+    plain, *plain_work = counted_evolve(monkeypatch, replace(req, store_trajectory=False))
     assert traced.path == path
     assert np.array_equal(traced.trajectory[1][:-1], full.trajectory[1][:-1])
     assert np.array_equal(traced.trajectory[1][-1], plain.final.amplitudes)
     assert np.array_equal(traced.final.amplitudes, plain.final.amplitudes)
+    steps, half, chunk = req.steps, req.steps // 2, propagator._chunk(req.model.dim)
+    if path == "mirror":
+        # the state goes through the mirror's whole chunks as the gate
+        # proves them, and the trajectory steps on from the start of the
+        # chunk cut at N/2, k: that chunk's maps and samples are taken twice
+        k = half - half % chunk
+        assert (formed, sampled) == (steps + half % chunk + steps % 2, 2 * steps - k)
+    elif traced.mirror_bound is not None:
+        # refuted: the trajectory costs what the plain run does
+        assert [formed, sampled] == plain_work
 
 
 @pytest.mark.parametrize("past", [False, True], ids=["short-of-bound", "past-bound"])
@@ -1595,23 +1650,15 @@ def test_controls_sampled_once_per_step(monkeypatch, make, refuted_at):
     # run the gate refutes at step j also samples the mirror images of the
     # first half's blocks up to j's, and its refuted chunk's steps up to the
     # end of j's block again, as the stepped run forms that chunk
-    sampled = []
-    original = propagator._controls
-
-    def counted(req, t):
-        sampled.append(len(t))
-        return original(req, t)
-
-    monkeypatch.setattr(propagator, "_controls", counted)
     req = make()
-    result = evolve(req)
+    result, _, sampled = counted_evolve(monkeypatch, req)
     extra = 0
     if refuted_at is not None:
         block, chunk = propagator._BLOCK, propagator._chunk(req.model.dim)
         end = min((refuted_at // block + 1) * block, req.steps // 2)
         extra = end + end - refuted_at // chunk * chunk
         assert result.path == "full" and result.mirror_bound > propagator._MIRROR_TOL
-    assert sum(sampled) == (2 * req.steps + 1 if req.method is Method.RK4 else req.steps) + extra
+    assert sampled == (2 * req.steps + 1 if req.method is Method.RK4 else req.steps) + extra
 
 
 @pytest.mark.parametrize(
@@ -1710,22 +1757,15 @@ def test_refuted_mirror_stops_at_the_same_block(make, dim):
 @pytest.mark.parametrize("make, dim", REFUTED)
 @pytest.mark.parametrize("index", [1, 2], ids=["second-chunk", "third-chunk"])
 def test_refuted_mirror_forms_each_map_once(monkeypatch, make, dim, index):
-    # the stepped run applies the roots the mirror kept, in order: only the
-    # refuted chunk's blocks before the refuting one are formed twice, and
-    # the final state is the full path's
-    formed = []
-    original = propagator.expm_small
-
-    def counted(a, **kwargs):
-        formed.append(len(a))
-        return original(a, **kwargs)
-
-    monkeypatch.setattr(propagator, "expm_small", counted)
+    # the state went through the mirror's whole chunks as the gate proved
+    # them, and steps on from the refuted chunk: only that chunk's blocks
+    # before the refuting one are formed twice, and the final state is the
+    # full path's
     req = refuted_mid_run(make, dim, index)
-    got = evolve(req)
+    got, formed, _ = counted_evolve(monkeypatch, req)
     block, chunk = propagator._BLOCK, propagator._chunk(dim)
     assert got.path == "full"
-    assert sum(formed) == req.steps + (refuted_pair(dim, index) - index * chunk) // block * block
+    assert formed == req.steps + (refuted_pair(dim, index) - index * chunk) // block * block
     assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
 
 
@@ -1734,9 +1774,9 @@ def test_refuted_mirror_forms_each_map_once(monkeypatch, make, dim, index):
 def test_kept_one_step_root_owns_its_memory(monkeypatch, make, dim, refuted):
     # N/2 = 1 (mod _chunk): the first half's last chunk is one step, whose
     # root _up_sweep returns as a view of the run's maps.  A proved mirror
-    # with a stored trajectory forms every map into that array again before
-    # its final state is taken from the kept roots; a refuted one is refuted
-    # at that step and stepped through the roots kept before it
+    # with a stored trajectory forms maps into that array again before its
+    # final state is taken from the kept product of the roots; a refuted one
+    # is refuted at that step and steps on from its chunk
     steps = 2 * (propagator._chunk(dim) + 1)
     if refuted:
         req = make(steps=steps)

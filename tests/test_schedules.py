@@ -286,7 +286,7 @@ class TestDeltaDerivative:
         analytic = delta_derivative(sched, times)
         assert np.max(np.abs(analytic - fd) / np.abs(analytic)) < 1e-6
 
-    def test_flat_schedule_falls_back_to_finite_difference(self):
+    def test_flat_schedule_has_zero_slope(self):
         sched = PulseSchedule(
             kind=ScheduleKind.FLAT_PI, duration=TAU_PI, drive_amplitude=OMEGA_M
         )
