@@ -14,7 +14,8 @@ Two fixed-step methods:
                     squarings either (see expm_small).  Steps run in chunks
                     whose maps fit in 2 MiB of cache (_chunk: 32 768 two-level
                     steps, 8192 Lambda steps): H, -i H dt and the exponential
-                    are formed in cache-sized blocks (_step_maps), and the
+                    are formed in blocks of a quarter chunk (_block: 8192
+                    two-level steps, 2048 Lambda steps; _step_maps), and the
                     root of one pairwise product tree per chunk is applied to
                     the state.  The tree's small levels, where a level costs
                     its numpy calls rather than its arithmetic, take one
@@ -37,7 +38,9 @@ samples prove one; no option selects it:
     constant  every step's controls, and so its H, are equal (FLAT_PI): the
               one step map is raised to each chunk's length by the product
               tree's own pairing, about 2 log2(chunk) products, which gives
-              the stepped run's bits.
+              the stepped run's bits.  A run that stores a trajectory steps
+              every map anyway, so it is judged on its first block alone: a
+              constant first block takes the full path, any other the mirror.
     mirror    with Pi the two-level swap or the Lambda ground-state swap and
               scalars c_j, H_{N-1-j} = Pi H_j Pi + c_j I + E_j, every H_j
               complex symmetric and sum_{j<N/2} dt ||E_j|| (Frobenius) at most
@@ -81,13 +84,6 @@ from .core_model import QuantumState, from_entry_rows, to_entry_rows
 from .schedules import PulseSchedule
 
 _NORM_ABORT = 1e-6
-# steps per cache-sized block: _step_maps builds a chunk's maps _BLOCK steps
-# at a time, and the 3x3 kernels and the polish take any longer batch _BLOCK
-# columns at a time.  A 3x3 block of entry rows is 295 KB, so the block, its
-# powers and the partial sum stay in cache; on a 2-core Xeon (2 MB L2 per
-# core) 2048 and 4096 timed within 10 % of each other for the Taylor kernel,
-# 512 and 16384 about 50 % slower
-_BLOCK = 2048
 # a mirror run may move its answer by at most this from the full path's (see
 # _Mirror): sum over the first half of dt ||E_j||, which bounds the
 # change for products of contractions, so for gamma > 0 too.  The Lambda
@@ -422,9 +418,10 @@ def _fixed_point_steps(ratio: float) -> int:
 def _expm_decoupled(rows: np.ndarray, steps: int, out: np.ndarray) -> np.ndarray:
     # exp of complex-symmetric 3x3 matrices with a dominant last diagonal
     # entry, from (9, batch) entry rows into the (9, batch) rows `out`, with
-    # `steps` fixed-point steps (see expm_small)
-    for lo in range(0, rows.shape[-1], _BLOCK):
-        b00, b01, c0, b11, c1, a22 = rows[[0, 1, 2, 4, 5, 8], lo : lo + _BLOCK]
+    # `steps` fixed-point steps (see expm_small), a block of columns at a time
+    width = _block(3)
+    for lo in range(0, rows.shape[-1], width):
+        b00, b01, c0, b11, c1, a22 = rows[[0, 1, 2, 4, 5, 8], lo : lo + width]
         b01_sq = b01 * b01
         # c^T (lambda I - B)^-1 c = (r c0^2 + p c1^2 + 2 b01 c0 c1) / (p r - b01^2)
         # with p = lambda - b00, r = lambda - b11
@@ -445,7 +442,7 @@ def _expm_decoupled(rows: np.ndarray, steps: int, out: np.ndarray) -> np.ndarray
         inv_s = 1.0 / (1.0 + x0 * x0 + x1 * x1)
         z0 = (mu * x0 - e00 * x0 - e01 * x1) * inv_s
         z1 = (mu * x1 - e10 * x0 - e11 * x1) * inv_s
-        block = out[:, lo : lo + _BLOCK]
+        block = out[:, lo : lo + width]
         block[0] = e00 + x0 * z0
         block[1] = block[3] = e01 + x1 * z0
         block[2] = block[6] = z0
@@ -481,11 +478,12 @@ def _expm_scaled_taylor(rows: np.ndarray, out: np.ndarray | None = None) -> np.n
     scale = 2.0**-k
     if out is None:
         out = np.empty(rows.shape, dtype=complex)
-    for lo in range(0, rows.shape[-1], _BLOCK):
-        p = _taylor16(scale * rows[:, lo : lo + _BLOCK])
+    width = _block(math.isqrt(len(rows)))
+    for lo in range(0, rows.shape[-1], width):
+        p = _taylor16(scale * rows[:, lo : lo + width])
         for _ in range(k):
             p = _mul(p, p)
-        out[:, lo : lo + _BLOCK] = p
+        out[:, lo : lo + width] = p
     return out
 
 
@@ -546,18 +544,20 @@ def _unitarize(u: np.ndarray) -> np.ndarray:
     # one Newton step toward the polar factor, U (3 I - U^H U) / 2 (Higham):
     # takes the Taylor kernel's maps of skew-Hermitian input to unitary at
     # rounding level, so norm drift stays ~N*eps even at 1e6 steps.
-    # Taken in _BLOCK columns, so the adjoint and correction stay in cache
+    # Taken a block of columns at a time (_block), so the adjoint and
+    # correction stay in cache
     n = u.shape[-1]
     rows = to_entry_rows(u).reshape(n * n, -1)
     adjoint = [j * n + i for i in range(n) for j in range(n)]  # row of x_ji
     out = np.empty_like(rows)
-    for lo in range(0, rows.shape[-1], _BLOCK):
-        x = rows[:, lo : lo + _BLOCK]
+    width = _block(n)
+    for lo in range(0, rows.shape[-1], width):
+        x = rows[:, lo : lo + width]
         x_h = x[adjoint]
         corr = _mul(np.conj(x_h, out=x_h), x)
         corr *= -0.5
         corr[:: n + 1] += 1.5
-        out[:, lo : lo + _BLOCK] = _mul(x, corr)
+        out[:, lo : lo + width] = _mul(x, corr)
     return from_entry_rows(out.reshape(n, n, -1))
 
 
@@ -648,9 +648,23 @@ def _rk4_step(a: np.ndarray) -> np.ndarray:
 def _chunk(n: int) -> int:
     # steps per chunk of n x n maps: the largest power of two whose complex
     # maps fit in 2 MiB, one core's L2 on a 2-core Xeon, so the product tree
-    # reads them from cache: 32 768 steps for 2x2, 8192 for 3x3, both
-    # multiples of _BLOCK
+    # reads them from cache: 32 768 steps for 2x2, 8192 for 3x3
     return 1 << ((2**21 // (16 * n * n)).bit_length() - 1)
+
+
+def _block(n: int) -> int:
+    # steps per cache-sized block of n x n maps, a quarter of the chunk: 8192
+    # for 2x2, 2048 for 3x3.  _step_maps samples a chunk's steps and forms
+    # their H, -i H dt and maps a block at a time, and the 3x3 kernels and the
+    # polish take any longer batch a block of columns at a time, so the
+    # temporaries stay in cache.  A 2x2 block is a short power series whose
+    # time is mostly the fixed cost of a few dozen numpy calls, so it takes
+    # four times the 3x3 block.  On a 2-core Xeon with numpy 2.4.6, one
+    # two-level sweep CLI call (9 evolves of 50 000 steps) took, relative to
+    # 2048-step blocks: 0.84 at 4096, 0.73-0.79 at 8192, 1.19-1.41 at 16 384
+    # and 1.67 at 32 768.  A Lambda compare took 1.21 times as long with 1024-
+    # or 4096-step blocks as with 2048 (a 3x3 block of entry rows is 295 KB)
+    return _chunk(n) // 4
 
 
 def _samples(req: EvolveRequest, steps: int, lo: int, hi: int):
@@ -667,12 +681,13 @@ def _samples(req: EvolveRequest, steps: int, lo: int, hi: int):
 
 
 class _Sampler:
-    """A run's controls, a block of steps lo to hi - 1 at a time, for
-    _step_maps: at their midpoints, or at their 2 (hi - lo) + 1 RK4 half
+    """A run's controls, a block of steps lo to hi - 1 at a time (_block),
+    for _step_maps: at their midpoints, or at their 2 (hi - lo) + 1 RK4 half
     steps.  Blocks taken in step order sample each instant once (_samples):
     an RK4 block starts from the half step the block before it ended on, and
     `first`, the controls _structure took from step 0, serve the first block
-    asked for if it starts at step 0 and lies within them."""
+    asked for if it starts at step 0: a mirror's first block, or the start
+    of a stepped run's, whose steps past `first` are sampled on."""
 
     def __init__(self, req: EvolveRequest, steps: int, first=None):
         self.req, self.steps, self.first = req, steps, first
@@ -680,8 +695,12 @@ class _Sampler:
 
     def __call__(self, lo: int, hi: int):
         first, self.first = self.first, None
-        if first is not None and lo == 0 and hi <= len(first[0]):
-            return tuple(x[:hi] for x in first)
+        if first is not None and lo == 0:
+            taken = len(first[0])
+            if hi <= taken:
+                return tuple(x[:hi] for x in first)
+            rest = _samples(self.req, self.steps, taken, hi)
+            return tuple(np.concatenate(pair) for pair in zip(first, rest))
         new = _samples(self.req, self.steps, lo, hi)
         if self.req.method is Method.RK4:
             if lo > 0:
@@ -700,21 +719,23 @@ def _step_maps(
     hi - lo columns of `out`, a run's (n*n, chunk) maps, when given, else a
     new array.
 
-    Each _BLOCK of steps is sampled (`sample`, the run's _Sampler, else a
-    new one) as its Hamiltonian, -i H dt and maps are formed, so no
-    temporary outgrows a block and all stay in cache; expm_small writes each
-    block's maps straight into their columns (out=), with no copy.  Called
-    on at most one chunk (_chunk) at a time.  `check(h, j0, j1)`, when
-    given, sees the H of steps j0 to j1 - 1 before their maps are formed;
-    once it returns False no more maps are formed and None is returned."""
+    Each block of steps (_block: 8192 two-level, 2048 Lambda) is sampled
+    (`sample`, the run's _Sampler, else a new one) as its Hamiltonian,
+    -i H dt and maps are formed, so no temporary outgrows a block and all
+    stay in cache; expm_small writes each block's maps straight into their
+    columns (out=), with no copy.  Called on at most one chunk (_chunk) at a
+    time.  `check(h, j0, j1)`, when given, sees the H of steps j0 to j1 - 1
+    before their maps are formed; once it returns False no more maps are
+    formed and None is returned."""
     n = req.model.dim
     steps = resolve_steps(req.steps, n)
     dt = req.schedule.duration / steps
     if sample is None:
         sample = _Sampler(req, steps)
     maps = np.empty((n * n, hi - lo), dtype=complex) if out is None else out[:, : hi - lo]
-    for b in range(lo, hi, _BLOCK):
-        end = min(b + _BLOCK, hi)
+    width = _block(n)
+    for b in range(lo, hi, width):
+        end = min(b + width, hi)
         h = req.model.hamiltonian_batch(*sample(b, end))
         if check is not None and not check(h, b, end):
             return None
@@ -730,17 +751,20 @@ def _structure(req: EvolveRequest, steps: int):
     """The identity of the midpoint rule that evolve tries on a
     PIECEWISE_EXPM run, and the controls of its first block, which the run
     takes again (_Sampler): "constant" when every step's controls, and so its
-    H, are equal, unless a trajectory is stored (stepping every map gives
-    the constant path's bits, "full"); else "mirror", which _Mirror.check
-    proves or refutes.  The controls are sampled a block at a time, up to
-    the first block that differs from step 0's."""
-    first = block = _samples(req, steps, 0, min(_BLOCK, steps))
-    lo = 0
+    H, are equal; else "mirror", which _Mirror.check proves or refutes.  The
+    controls are sampled a block (_block) at a time, the first cut at N/2 as
+    a mirror's is, up to the first block that differs from step 0's.  A run
+    that stores a trajectory steps every map, which gives the constant
+    path's bits, so it is decided from its first block alone: "full" if
+    that block is constant, else "mirror"."""
+    width = _block(req.model.dim)
+    first = block = _samples(req, steps, 0, min(width, steps // 2))
+    lo = len(first[0])
     while all(np.all(x == x0[0]) for x, x0 in zip(block, first)):
-        lo += _BLOCK
-        if lo >= steps:
+        if lo >= steps or req.store_trajectory:
             return ("full" if req.store_trajectory else "constant"), first
-        block = _samples(req, steps, lo, min(lo + _BLOCK, steps))
+        block = _samples(req, steps, lo, min(lo + width, steps))
+        lo += width
     return "mirror", first
 
 
@@ -774,7 +798,9 @@ class _Mirror:
             return False
         mirror = [x[::-1] for x in _samples(self.req, steps, steps - hi, steps - lo)]
         e = to_entry_rows(self.req.model.hamiltonian_batch(*mirror)).reshape(n * n, -1)
-        e -= first[self.mirrored]
+        # row by row: gathering first[self.mirrored] would copy the block
+        for row, src in zip(e, self.mirrored):
+            row -= first[src]
         c = e[:: n + 1].sum(axis=0) / n
         e[:: n + 1] -= c
         # squared moduli from the (re, im) pairs of the float view

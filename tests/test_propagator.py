@@ -133,9 +133,10 @@ def coupled_at_ratio(last: float) -> np.ndarray:
 
 
 def assert_block_boundary_invisible(batch: np.ndarray) -> None:
+    block = propagator._block(batch.shape[-1])
     together = expm_small(batch)
-    head = expm_small(batch[: propagator._BLOCK])
-    tail = expm_small(batch[propagator._BLOCK :])
+    head = expm_small(batch[:block])
+    tail = expm_small(batch[block:])
     assert np.array_equal(together, np.concatenate([head, tail]))
 
 
@@ -212,7 +213,7 @@ class TestExpmSmall:
 
     def test_block_boundary_is_bitwise_invisible(self):
         rng = np.random.default_rng(3)
-        n = propagator._BLOCK + 3
+        n = propagator._block(3) + 3
         batch = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
         batch *= 7.0 / np.linalg.norm(batch, axis=(-2, -1))[:, None, None]
         assert_block_boundary_invisible(batch)
@@ -221,7 +222,7 @@ class TestExpmSmall:
         # symmetric input, which the Taylor kernel stores in the same full
         # entry-row layout as any other
         rng = np.random.default_rng(3)
-        n = propagator._BLOCK + 3
+        n = propagator._block(3) + 3
         batch = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
         batch = batch + np.swapaxes(batch, 1, 2)
         batch *= 7.0 / np.linalg.norm(batch, axis=(-2, -1))[:, None, None]
@@ -297,7 +298,7 @@ class TestExpmSmall:
                 id="2x2",
             ),
             pytest.param(
-                lambda: lambda_sweep(propagator._BLOCK + 3), "_expm_decoupled", id="decoupled"
+                lambda: lambda_sweep(propagator._block(3) + 3), "_expm_decoupled", id="decoupled"
             ),
             pytest.param(
                 lambda: np.stack([random_symmetric(seed) for seed in range(5)]),
@@ -508,9 +509,9 @@ class TestFixedPointRule:
         [
             pytest.param(functools.partial(coupled_at_ratio, 258.0), 3, id="ratio-2^-8"),
             # the largest ratio of a 73 728-step Lambda block, at 1.2x amplitude
-            pytest.param(lambda: lambda_sweep(propagator._BLOCK), 2, id="73728-steps-1.2x"),
+            pytest.param(lambda: lambda_sweep(propagator._block(3)), 2, id="73728-steps-1.2x"),
             pytest.param(
-                lambda: lambda_sweep(propagator._BLOCK, steps=500_000), 2, id="500000-steps-1.2x"
+                lambda: lambda_sweep(propagator._block(3), steps=500_000), 2, id="500000-steps-1.2x"
             ),
             # couplings a tenth of the nominal ones
             pytest.param(
@@ -610,7 +611,7 @@ class TestDecoupledPath:
         assert np.array_equal(got, np.swapaxes(got, -1, -2))
 
     def test_block_boundary_is_bitwise_invisible(self, monkeypatch):
-        batch = lambda_sweep(propagator._BLOCK + 3)
+        batch = lambda_sweep(propagator._block(3) + 3)
         taken, _ = kernels_taken(monkeypatch, batch)
         assert taken == ["_expm_decoupled"]
         assert_block_boundary_invisible(batch)
@@ -863,7 +864,7 @@ class TestUnitarityPolish:
         calls = polish_calls(monkeypatch)
         run = RunSpec(lambda_params_no_decay, delta_m=DELTA_M, steps=20_000)
         result = run_protocol(run, ScheduleKind.SIQUAD, 2.85e-3)
-        block = propagator._BLOCK
+        block = propagator._block(3)
         assert calls == [(min(block, 20_000 - lo), 3, 3) for lo in range(0, 20_000, block)]
         assert result.final_norm_sq <= 1.0 + 1e-9
 
@@ -884,10 +885,11 @@ class TestUnitarityPolish:
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_unitarize_block_boundary_is_bitwise_invisible(dim):
-    u = random_maps(dim, propagator._BLOCK + 3, unitary=False, seed=dim)
+    block = propagator._block(dim)
+    u = random_maps(dim, block + 3, unitary=False, seed=dim)
     together = propagator._unitarize(u)
-    head = propagator._unitarize(u[: propagator._BLOCK])
-    tail = propagator._unitarize(u[propagator._BLOCK :])
+    head = propagator._unitarize(u[:block])
+    tail = propagator._unitarize(u[block:])
     assert np.array_equal(together, np.concatenate([head, tail]))
 
 
@@ -1151,7 +1153,7 @@ def test_rk4_matches_sequential_oracle(make):
 
 @pytest.mark.parametrize(
     "length",
-    [lambda dim: propagator._BLOCK + 3, lambda dim: propagator._chunk(dim) + 1],
+    [lambda dim: propagator._block(dim) + 3, lambda dim: propagator._chunk(dim) + 1],
     ids=["block+3", "chunk+1"],
 )
 @pytest.mark.parametrize(
@@ -1379,12 +1381,12 @@ class DetunedStep:
 def half_past_first_chunk(dim: int) -> int:
     # an odd step count whose first half ends 3 blocks and 5 steps into its
     # second chunk
-    return 2 * (propagator._chunk(dim) + 3 * propagator._BLOCK + 5) + 1
+    return 2 * (propagator._chunk(dim) + 3 * propagator._block(dim) + 5) + 1
 
 
 def refuted_pair(dim: int, index: int = 1) -> int:
     # a pair inside chunk `index` of the first half, in its fourth block
-    return index * propagator._chunk(dim) + 3 * propagator._BLOCK + 7
+    return index * propagator._chunk(dim) + 3 * propagator._block(dim) + 7
 
 
 def refuted_mid_run(make, dim: int, index: int = 1, **kwargs) -> EvolveRequest:
@@ -1504,9 +1506,22 @@ def test_rk4_looks_for_no_structure(protocol):
     [
         *(
             pytest.param(
-                functools.partial(two_level_request, kind, TWO_LEVEL_T[kind], steps=4099),
+                # the first half ends 2 steps into its second block
+                functools.partial(
+                    two_level_request, kind, TWO_LEVEL_T[kind], steps=2 * propagator._block(2) + 3
+                ),
                 path,
                 id=f"{kind}-{path}",
+            )
+            for kind, path in [(ScheduleKind.SIQUAD, "mirror"), (ScheduleKind.FLAT_PI, "full")]
+        ),
+        # N/2 inside the first block, which _structure samples up to N/2 and
+        # the stepped run samples on from there
+        *(
+            pytest.param(
+                functools.partial(two_level_request, kind, TWO_LEVEL_T[kind], steps=4099),
+                path,
+                id=f"{kind}-{path}-within-first-block",
             )
             for kind, path in [(ScheduleKind.SIQUAD, "mirror"), (ScheduleKind.FLAT_PI, "full")]
         ),
@@ -1589,6 +1604,45 @@ def test_mirror_gate_at_the_bound(monkeypatch, past):
     assert got.mirror_bound == pytest.approx(target, rel=1e-4)
 
 
+def gathered_gate(req: EvolveRequest, h: np.ndarray, lo: int, hi: int) -> tuple[float, complex]:
+    """Oracle: the gate's dt sum ||E_j|| and sum c_j over steps lo to hi - 1
+    of H = h, its residual formed from one gathered copy of Pi H_j Pi."""
+    n, steps = req.model.dim, req.steps
+    dt = req.schedule.duration / steps
+    swap = [1, 0, *range(2, n)]
+    first = to_entry_rows(h).reshape(n * n, -1)
+    mirror = [x[::-1] for x in propagator._samples(req, steps, steps - hi, steps - lo)]
+    e = to_entry_rows(req.model.hamiltonian_batch(*mirror)).reshape(n * n, -1)
+    e = e - first[[swap[i] * n + swap[j] for i in range(n) for j in range(n)]]
+    c = e[:: n + 1].sum(axis=0) / n
+    e[:: n + 1] -= c
+    ev = e.view(float)
+    sq = np.einsum("ib,ib->b", ev, ev)
+    return dt * float(np.sum(np.sqrt(sq[0::2] + sq[1::2]))), c.sum()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(functools.partial(two_level_request, steps=20_000), id="two-level"),
+        pytest.param(functools.partial(stirap_request, GAMMA, 20_000), id="stirap"),
+    ],
+)
+def test_mirror_gate_keeps_the_gathered_residual_bits(make):
+    # the gate forms its residual row by row, with the bits of the gathered
+    # form, on one whole first-half block
+    req = make()
+    n, steps = req.model.dim, req.steps
+    hi = propagator._block(n)
+    assert hi <= steps // 2
+    h = req.model.hamiltonian_batch(*propagator._samples(req, steps, 0, hi))
+    mirror = propagator._Mirror(req, steps)
+    passed = mirror.check(h, 0, hi)
+    bound, c_sum = gathered_gate(req, h, 0, hi)
+    assert mirror.bound == bound and mirror.c_sum == c_sum
+    assert passed
+
+
 def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
     # Delta = 3 Omega does not dominate, so every batch takes the Taylor
     # kernel, which refuses -i H T itself; the stepped run takes 20 000 maps
@@ -1623,7 +1677,7 @@ def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
                 two_level_request,
                 ScheduleKind.FLAT_PI,
                 TWO_LEVEL_T[ScheduleKind.FLAT_PI],
-                steps=2 * propagator._BLOCK + 5,
+                steps=2 * propagator._block(2) + 5,
             ),
             None,
             id="constant",
@@ -1643,6 +1697,25 @@ def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
             refuted_pair(2),
             id="mirror-refuted-mid-run",
         ),
+        # N/2 inside the first block
+        pytest.param(
+            functools.partial(two_level_request, steps=4099), None, id="mirror-within-first-block"
+        ),
+        # a stored trajectory is decided from the first block alone
+        *(
+            pytest.param(
+                functools.partial(
+                    two_level_request,
+                    ScheduleKind.FLAT_PI,
+                    TWO_LEVEL_T[ScheduleKind.FLAT_PI],
+                    steps=steps,
+                    store_trajectory=True,
+                ),
+                None,
+                id=f"constant-trajectory-{steps}",
+            )
+            for steps in (50_000, 4099)
+        ),
     ],
 )
 def test_controls_sampled_once_per_step(monkeypatch, make, refuted_at):
@@ -1654,7 +1727,7 @@ def test_controls_sampled_once_per_step(monkeypatch, make, refuted_at):
     result, _, sampled = counted_evolve(monkeypatch, req)
     extra = 0
     if refuted_at is not None:
-        block, chunk = propagator._BLOCK, propagator._chunk(req.model.dim)
+        block, chunk = propagator._block(req.model.dim), propagator._chunk(req.model.dim)
         end = min((refuted_at // block + 1) * block, req.steps // 2)
         extra = end + end - refuted_at // chunk * chunk
         assert result.path == "full" and result.mirror_bound > propagator._MIRROR_TOL
@@ -1685,7 +1758,7 @@ def test_run_samples_do_not_depend_on_chunking(make, dim, method):
     k = np.arange(2 * steps + 1 if method is Method.RK4 else steps)
     t = k * (0.5 * dt) if method is Method.RK4 else (k + 0.5) * dt
     expected = np.array(propagator._controls(req, t))
-    block, chunk = propagator._BLOCK, propagator._chunk(dim)
+    block, chunk = propagator._block(dim), propagator._chunk(dim)
     cuts = [0, 1, 2, block - 1, block + 1, chunk, chunk + 3 * block + 5, 2 * chunk + 1, steps]
     pieces = [propagator._samples(req, steps, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     got = np.concatenate([np.array(piece) for piece in pieces], axis=1)
@@ -1696,7 +1769,12 @@ def test_run_samples_do_not_depend_on_chunking(make, dim, method):
 def test_chunk_maps_fit_in_cache(dim):
     # 2 MiB of (n, n) complex maps, whole blocks
     chunk = propagator._chunk(dim)
-    assert chunk == {2: 32768, 3: 8192}[dim] and chunk % propagator._BLOCK == 0
+    assert chunk == {2: 32768, 3: 8192}[dim] and chunk % propagator._block(dim) == 0
+
+
+def test_block_is_sized_by_the_dimension():
+    # a 2x2 block is a short power series, so it takes four times the 3x3 block
+    assert propagator._block(2) == 8192 and propagator._block(3) == 2048
 
 
 @pytest.mark.parametrize(
@@ -1747,7 +1825,7 @@ def test_refuted_mirror_stops_at_the_same_block(make, dim):
     counting = CountingModel(req.model)
     got = evolve(replace(req, model=counting))
     assert got.path == "full" and got.mirror_bound > propagator._MIRROR_TOL
-    block, chunk = propagator._BLOCK, propagator._chunk(dim)
+    block, chunk = propagator._block(dim), propagator._chunk(dim)
     # each of the mirror's blocks builds its own H and its mirror's
     mirror = [block] * 2 * (refuted_pair(dim) // block + 1)
     stepped = [block] * ((req.steps - chunk) // block) + [(req.steps - chunk) % block]
@@ -1763,7 +1841,7 @@ def test_refuted_mirror_forms_each_map_once(monkeypatch, make, dim, index):
     # full path's
     req = refuted_mid_run(make, dim, index)
     got, formed, _ = counted_evolve(monkeypatch, req)
-    block, chunk = propagator._BLOCK, propagator._chunk(dim)
+    block, chunk = propagator._block(dim), propagator._chunk(dim)
     assert got.path == "full"
     assert formed == req.steps + (refuted_pair(dim, index) - index * chunk) // block * block
     assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
@@ -1797,9 +1875,10 @@ def test_kept_one_step_root_owns_its_memory(monkeypatch, make, dim, refuted):
 def test_rk4_maps_do_not_depend_on_the_range():
     # a range that starts off step 0 samples the half step it starts from,
     # as a run's later blocks take it from the block before: the same bits
-    req = two_level_request(steps=propagator._BLOCK + 20, method=Method.RK4)
+    block = propagator._block(2)
+    req = two_level_request(steps=block + 20, method=Method.RK4)
     whole = propagator._step_maps(req, 0, req.steps)
-    lo, hi = propagator._BLOCK - 3, propagator._BLOCK + 9
+    lo, hi = block - 3, block + 9
     assert np.array_equal(propagator._step_maps(req, lo, hi), whole[:, lo:hi])
 
 
@@ -2028,9 +2107,9 @@ def test_lambda_chunk_peak_memory(lambda_params, steps):
 @pytest.mark.parametrize("steps", [UNIT, 2 * UNIT])
 def test_two_level_chunk_peak_memory(two_level_params, steps):
     # a mirror run forms its first half 32 768 maps at a time into one array
-    # and samples a block at a time: 0.92 units at one unit of steps and at
-    # two, bounded with a margin of 0.13 units (0.5 MB); holding the whole
-    # run's samples would read 1.28 and 1.66
+    # and samples a block at a time: 0.99 units at one unit of steps and at
+    # two, bounded with a margin of 0.06 units (0.25 MB); holding the whole
+    # run's samples would add 0.37 and 0.74
     run = RunSpec(two_level_params, delta_m=DELTA_M, steps=steps)
     assert peak_in_chunks(run, 5.83 * TAU_PI) <= 1.05
 
