@@ -36,9 +36,15 @@ _AXIS_LABELS = {
 
 
 def _out_stem(cfg_arg: str, out_dir: Path) -> Path:
-    stem = Path(cfg_arg).stem
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / stem
+    return out_dir / Path(cfg_arg).stem
+
+
+def _make_out_dir(out_dir: Path, source: str) -> None:
+    # before any run, so that an unusable directory costs no evolve
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{source} {out_dir}: not a usable directory ({exc})") from exc
 
 
 def _require_durations(run: RunSpec) -> None:
@@ -156,7 +162,9 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # config-level out_dir is the default; an explicit --out wins
-        out_dir = Path(cfg.out_dir) if args.out == "." and cfg.out_dir else Path(args.out)
+        from_config = args.out == "." and bool(cfg.out_dir)
+        out_dir = Path(cfg.out_dir) if from_config else Path(args.out)
+        _make_out_dir(out_dir, "out_dir" if from_config else "--out")
         if args.command == "simulate":
             return cmd_simulate(cfg, args.config, out_dir, args.trajectory)
         if args.command == "sweep":

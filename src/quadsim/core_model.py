@@ -245,7 +245,9 @@ def to_entry_rows(u: np.ndarray) -> np.ndarray:
 
 class TwoLevelModel:
     """Builds two-level Hamiltonian batches from schedule samples, in entry
-    rows (:func:`from_entry_rows`), as :class:`LambdaModel` does."""
+    rows (:func:`from_entry_rows`), as :class:`LambdaModel` does, and gives
+    the propagator's mirror gate its residual from the samples alone
+    (:meth:`mirror_residual`)."""
 
     dim = 2
 
@@ -260,6 +262,24 @@ class TwoLevelModel:
         h[0, 1] = h[1, 0] = 0.5 * omega_p
         return from_entry_rows(h)
 
+    def mirror_residual(self, controls, mirrored) -> tuple[np.ndarray, np.ndarray]:
+        """c_j and ||E_j||_F^2 of H'_j = Pi H_j Pi + c_j I + E_j, Pi the swap
+        of the two levels, c_j the mean of the diagonal of H'_j - Pi H_j Pi,
+        H_j built from `controls` and H'_j from `mirrored`, both (delta,
+        omega_p, omega_s) samples: E_j = diag(delta'_j - c_j, -delta_j - c_j)
+        + (omega'_p - omega_p)/2 X.  Entry by entry with the roundings of
+        H'_j - Pi H_j Pi formed from the two batches in complex arithmetic."""
+        delta, omega_p, _ = controls
+        delta_r, omega_pr, _ = mirrored
+        c = (delta_r - delta) * 0.5
+        e = np.empty((4, len(c)))  # E_00, E_01, E_10 and -E_11
+        np.subtract(delta_r, c, out=e[0])
+        np.subtract(0.5 * omega_pr, 0.5 * omega_p, out=e[1])
+        e[2] = e[1]
+        np.add(delta, c, out=e[3])
+        # complex, as numpy sums a complex array in another order than a real one
+        return c.astype(complex), np.einsum("ib,ib->b", e, e)
+
 
 class LambdaModel:
     """Builds three-level Lambda Hamiltonian batches from schedule samples.
@@ -267,7 +287,8 @@ class LambdaModel:
     The Raman couplings come from the schedule; the microwave coupling
     omega_m and the excited-level term Delta - i*gamma are static.  A batch
     is built in entry rows (:func:`from_entry_rows`), the layout the 3x3
-    step exponential reads in place.
+    step exponential reads in place.  :meth:`mirror_residual` gives the
+    propagator's mirror gate its residual from the samples alone.
     """
 
     dim = 3
@@ -286,3 +307,22 @@ class LambdaModel:
         h[1, 2] = h[2, 1] = 0.5 * omega_s
         h[2, 2] = p.delta_one_photon - 1j * p.gamma
         return from_entry_rows(h)
+
+    def mirror_residual(self, controls, mirrored) -> tuple[np.ndarray, np.ndarray]:
+        """c_j and ||E_j||_F^2 of H'_j = Pi H_j Pi + c_j I + E_j, Pi the swap
+        of the ground states, as :meth:`TwoLevelModel.mirror_residual` has
+        them: omega_m and Delta - i gamma cancel, so E_j = diag(delta'_j - c_j,
+        -delta_j - c_j, -c_j) with couplings (omega'_p - omega_s)/2 between
+        levels 1 and 3 and (omega'_s - omega_p)/2 between 2 and 3."""
+        delta, omega_p, omega_s = controls
+        delta_r, omega_pr, omega_sr = mirrored
+        # the complex mean divides by 3 as a product with 1/3
+        c = (delta_r - delta) * (1.0 / 3.0)
+        # E_00, E_02, -E_11, E_12, E_20, E_21 and -E_22; E_01 = E_10 = 0
+        e = np.empty((7, len(c)))
+        np.subtract(delta_r, c, out=e[0])
+        np.subtract(0.5 * omega_pr, 0.5 * omega_s, out=e[1])
+        np.add(delta, c, out=e[2])
+        np.subtract(0.5 * omega_sr, 0.5 * omega_p, out=e[3])
+        e[4], e[5], e[6] = e[1], e[3], c
+        return c.astype(complex), np.einsum("ib,ib->b", e, e)

@@ -17,11 +17,18 @@ Two fixed-step methods:
                     are formed in blocks of a quarter chunk (_block: 8192
                     two-level steps, 2048 Lambda steps; _step_maps), and the
                     root of one pairwise product tree per chunk is applied to
-                    the state.  The tree's small levels, where a level costs
-                    its numpy calls rather than its arithmetic, take one
-                    gathered product each (_mul), with the same bits.  With a
-                    stored trajectory the same tree writes every state on the
-                    way straight into the trajectory's storage; storing one
+                    the state.  The 2x2 maps are phase-free, V_j = e^(-m_j)
+                    exp(-i H_j dt) with m_j the half-trace (expm_small's
+                    `phase`; other maps take m_j = 0): scalars commute, so
+                    the chunk's product is e^(sum m_j) times the V_j's, and
+                    the state takes psi <- e^(sum m) (R psi), one complex exp
+                    per chunk where each map took one.  The tree's small
+                    levels, where a level costs its numpy calls rather than
+                    its arithmetic, take one gathered product each (_mul),
+                    with the same bits.  With a stored trajectory the same
+                    tree writes every state on the way straight into the
+                    trajectory's storage, each scaled by e^(cumsum m) and the
+                    chunk's last by the plain run's e^(sum m); storing one
                     changes no reported number.
     RK4             classical 4th-order on dpsi/dt = -i H(t) psi, kept for
                     cross-validation: one matrix per step, formed in the same
@@ -37,10 +44,12 @@ samples prove one; no option selects it:
 
     constant  every step's controls, and so its H, are equal (FLAT_PI): the
               one step map is raised to each chunk's length by the product
-              tree's own pairing, about 2 log2(chunk) products, which gives
-              the stepped run's bits.  A run that stores a trajectory steps
-              every map anyway, so it is judged on its first block alone: a
-              constant first block takes the full path, any other the mirror.
+              tree's own pairing, about 2 log2(chunk) products, and its
+              phase summed block by block as the stepped run sums it, which
+              gives the stepped run's bits.  A run that stores a trajectory
+              steps every map anyway, so it is judged on its first block
+              alone: a constant first block takes the full path, any other
+              the mirror.
     mirror    with Pi the two-level swap or the Lambda ground-state swap and
               scalars c_j, H_{N-1-j} = Pi H_j Pi + c_j I + E_j, every H_j
               complex symmetric and sum_{j<N/2} dt ||E_j|| (Frobenius) at most
@@ -48,9 +57,12 @@ samples prove one; no option selects it:
               STIRAP with equal peaks).  Then U_{N-1-j} = e^(-i c_j dt) Pi U_j
               Pi up to E_j and U_j^T = U_j, so only steps 0 .. ceil(N/2) - 1
               are formed and the final state is e^(-i dt sum c_j) Pi P^T Pi
-              [M] P psi, P the first half's product.  The bound is how far the
-              answer may move from the full path's, for products of
-              contractions, so for gamma > 0 too.
+              [M] P psi, P the first half's product (of phase-free maps, so
+              e^(2 sum m_j + m_mid) joins e^(-i dt sum c_j)).  The bound is
+              how far the answer may move from the full path's, for products
+              of contractions, so for gamma > 0 too.  The model gives c_j and
+              ||E_j|| from the controls at j and N-1-j (mirror_residual); a
+              model without that formula takes the full path.
     full      RK4, which looks for no structure, and every run the samples
               refute: each step's map is formed and applied.
 
@@ -59,13 +71,15 @@ power, or the product tree of its maps, formed under the mirror's gate in
 the first half.  The state steps through each chunk, the mirror's too, while
 the mirror multiplies their roots into P, so a refuted mirror steps on from
 the chunk that refuted it: only that chunk's blocks before the refuting one
-are formed twice, and sampled twice with the mirror images its gate took.  A
-proved mirror's final state comes from P; a stored trajectory steps on from
-the start of the first-half chunk cut at N/2, forming its maps again whole,
-so every state but the last, the mirror's, is the full path's.  Every
-chunk's maps are formed into one chunk-sized array per run, and no other
-array of a run grows with its step count, so a 10^6-step run peaks as high
-as a 131 072-step one.
+are formed twice, and sampled twice with the mirror images its gate took (the
+gate builds no H of its own).  A proved mirror's final state comes from P; a
+stored trajectory steps on from the start of the first-half chunk cut at
+N/2, forming its maps again whole, so every state but the last, the
+mirror's, is the full path's.  Every chunk's maps are formed into one
+chunk-sized array per run, and no other array of a run grows with its step
+count, so a 10^6-step run peaks as high as a 131 072-step one.  The phases
+m_j take one block's array, a chunk's when a trajectory is stored, and each
+chunk's sum is taken block by block.
 
 Propagation is deterministic: identical requests give bit-identical results.
 """
@@ -113,7 +127,8 @@ _SERIES_TOL = 2.0**-55
 # the series forms e^m apart from cosh(s), and e^m overflows past Re(m) =
 # 709.78.  Some entry of exp(A) is at least |e^m| / sqrt 2 (det exp(N) = 1),
 # so up to Re(m) = 710.13 exp(A) may still be finite: past 709 a batch keeps
-# the closed form as it was, whose e^(m+s) may stay finite where e^m does not
+# the closed form as it was, whose e^(m+s) may stay finite where e^m does not.
+# Phase-free maps (expm_small's `phase`) form no e^m, so take no such limit
 _SERIES_MAX_RE_M = 709.0
 # past Re(m+s) = 700 the closed form's coefficients are scaled by 2^-32, as
 # they may overflow where exp(A) is finite (e^m sinh(s)/s = 0.9 e^710 for
@@ -178,7 +193,9 @@ class EvolveResult:
     mirror_bound: float | None = None
 
 
-def expm_small(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def expm_small(
+    a: np.ndarray, out: np.ndarray | None = None, phase: np.ndarray | None = None
+) -> np.ndarray:
     """Matrix exponential for small dense matrices (batched over leading axes).
 
     2x2 matrices use the exact form: with A = m*I + N, N traceless and
@@ -242,6 +259,19 @@ def expm_small(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     With `out`, a complex (n*n, batch) array such as a column slice of a
     chunk's maps, the maps are written there as entry rows, and the result
     is a view onto it; the bits are those returned without it.
+
+    With `phase`, a complex (batch,) array, each map is returned as V =
+    e^(-m) exp(A) and its scalar m written to phase, so that exp(A) = e^m V
+    in exact arithmetic (the scalar shift, Moler and Van Loan, SIAM Rev. 45,
+    2003).  For 2x2 matrices m is the half-trace: the series then forms no
+    exp at all, and the closed form takes e^s (a batch past Re(m) = 709 may
+    then take the series).  Every other kernel writes m = 0 and returns
+    exp(A): a decoupled 3x3 map would take the half-trace of R, but its
+    phase-free maps stay nearly constant over the near-constant steps of a
+    Lambda run, and their rounding then adds up in the norm (about 3x the
+    drift on the Lambda mirror runs) instead of averaging out.  A product
+    of such maps is e^(sum m) times the product of the V, exactly: evolve
+    takes the step maps this way.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -256,8 +286,10 @@ def expm_small(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise ValueError("non-finite matrix entries")
     if out is None:
         out = np.empty(rows.shape, dtype=complex)
+    if phase is not None and n != 2:
+        phase[...] = 0.0
     if n == 2:
-        _expm_2x2(*rows, out=out)
+        _expm_2x2(*rows, out=out, phase=phase)
     elif ratio is not None:
         _expm_decoupled(rows, _fixed_point_steps(ratio), out)
     else:
@@ -282,19 +314,24 @@ def _symmetric(rows: np.ndarray) -> bool:
     )
 
 
-def _expm_2x2(a00, a01, a10, a11, out: np.ndarray | None = None) -> np.ndarray:
+def _expm_2x2(a00, a01, a10, a11, out: np.ndarray | None = None, phase=None) -> np.ndarray:
     # exp([[a00, a01], [a10, a11]]) elementwise, as one (4, ...) array of
-    # the entries 00, 01, 10, 11, written to `out` when given
-    m = 0.5 * (a00 + a11)
+    # the entries 00, 01, 10, 11, written to `out` when given; with `phase`,
+    # e^-m times it, the half-trace m written to phase
+    m = np.multiply(0.5, a00 + a11, out=phase)
     d = 0.5 * (a00 - a11)
     q = d * d + a01 * a10
     q_max = float(np.max(np.abs(q))) if q.size else 0.0
     # written so that a NaN q_max (inf - inf in q) takes the closed form
     near = None
-    if q_max <= _SERIES_MAX_Q and not np.any(m.real > _SERIES_MAX_RE_M):
-        cosh_m, sinhc_m = _cosh_sinhc_series(m, q, _series_degree(q_max))
+    if q_max <= _SERIES_MAX_Q and (phase is not None or not np.any(m.real > _SERIES_MAX_RE_M)):
+        cosh_m, sinhc_m = _cosh_sinhc_series(q, _series_degree(q_max))
+        if phase is None:
+            em = np.exp(m)
+            cosh_m *= em
+            sinhc_m *= em
     else:
-        cosh_m, sinhc_m, near = _cosh_sinhc_closed(m, q)
+        cosh_m, sinhc_m, near = _cosh_sinhc_closed(0.0 if phase is not None else m, q)
     nd = sinhc_m * d
     if out is None:
         out = np.empty((4,) + np.shape(q), dtype=complex)
@@ -319,9 +356,9 @@ def _series_degree(q_max: float) -> int:
     return k
 
 
-def _cosh_sinhc_series(m, q, degree: int):
-    # e^m cosh(s) and e^m sinh(s)/s with s^2 = q, as polynomials of the given
-    # degree in q by Horner: sum q^k/(2k)! and sum q^k/(2k+1)!
+def _cosh_sinhc_series(q, degree: int):
+    # cosh(s) and sinh(s)/s with s^2 = q, as polynomials of the given degree
+    # in q by Horner: sum q^k/(2k)! and sum q^k/(2k+1)!
     cosh = np.full_like(q, _INV_FACT[2 * degree])
     sinhc = np.full_like(q, _INV_FACT[2 * degree + 1])
     for k in reversed(range(degree)):
@@ -329,9 +366,6 @@ def _cosh_sinhc_series(m, q, degree: int):
         cosh += _INV_FACT[2 * k]
         sinhc *= q
         sinhc += _INV_FACT[2 * k + 1]
-    em = np.exp(m)
-    cosh *= em
-    sinhc *= em
     return cosh, sinhc
 
 
@@ -712,21 +746,26 @@ class _Sampler:
 
 
 def _step_maps(
-    req: EvolveRequest, lo: int, hi: int, check=None, out=None, sample=None
-) -> np.ndarray | None:
-    """The maps of steps lo to hi - 1, exp(-i H dt) or RK4 step matrices, as
-    (n*n, hi - lo) entry rows, the layout the product tree reads: the first
-    hi - lo columns of `out`, a run's (n*n, chunk) maps, when given, else a
-    new array.
+    req: EvolveRequest, lo: int, hi: int, check=None, out=None, sample=None, phase=None
+) -> tuple[np.ndarray, complex] | None:
+    """The phase-free maps of steps lo to hi - 1, V_j = e^(-m_j) exp(-i H_j
+    dt) (expm_small's `phase`), and sum m_j, summed block by block.  The maps
+    are (n*n, hi - lo) entry rows, the layout the product tree reads: the
+    first hi - lo columns of `out`, a run's (n*n, chunk) maps, when given,
+    else a new array.  Only a 2x2 exponential has a phase: its m_j are
+    written to `phase`, a complex array, at j - lo if it holds hi - lo
+    entries, else from its start (a new block-sized array if not given).
+    Every other map, RK4's too, has m_j = 0 and leaves `phase` as it is.
 
     Each block of steps (_block: 8192 two-level, 2048 Lambda) is sampled
     (`sample`, the run's _Sampler, else a new one) as its Hamiltonian,
     -i H dt and maps are formed, so no temporary outgrows a block and all
     stay in cache; expm_small writes each block's maps straight into their
     columns (out=), with no copy.  Called on at most one chunk (_chunk) at a
-    time.  `check(h, j0, j1)`, when given, sees the H of steps j0 to j1 - 1
-    before their maps are formed; once it returns False no more maps are
-    formed and None is returned."""
+    time.  `check(h, controls, j0, j1)`, when given, sees the H of steps j0
+    to j1 - 1, and the controls it was built from, before their maps are
+    formed; once it returns False no more maps are formed and None is
+    returned."""
     n = req.model.dim
     steps = resolve_steps(req.steps, n)
     dt = req.schedule.duration / steps
@@ -734,26 +773,37 @@ def _step_maps(
         sample = _Sampler(req, steps)
     maps = np.empty((n * n, hi - lo), dtype=complex) if out is None else out[:, : hi - lo]
     width = _block(n)
+    if phase is None:
+        phase = np.empty(min(width, hi - lo), dtype=complex)
+    shift = 0j
     for b in range(lo, hi, width):
         end = min(b + width, hi)
-        h = req.model.hamiltonian_batch(*sample(b, end))
-        if check is not None and not check(h, b, end):
+        controls = sample(b, end)
+        h = req.model.hamiltonian_batch(*controls)
+        if check is not None and not check(h, controls, b, end):
             return None
+        del controls  # not held through the exponential's temporaries
         block = maps[:, b - lo : end - lo]
         if req.method is Method.RK4:
             block.reshape(n, n, -1)[...] = np.moveaxis(_rk4_step(-1j * dt * h), 0, -1)
+        elif n == 2:
+            at = b - lo if len(phase) >= hi - lo else 0
+            m = phase[at : at + end - b]
+            expm_small(-1j * dt * h, out=block, phase=m)
+            shift += m.sum()
         else:
             expm_small(-1j * dt * h, out=block)
-    return maps
+    return maps, shift
 
 
 def _structure(req: EvolveRequest, steps: int):
     """The identity of the midpoint rule that evolve tries on a
     PIECEWISE_EXPM run, and the controls of its first block, which the run
     takes again (_Sampler): "constant" when every step's controls, and so its
-    H, are equal; else "mirror", which _Mirror.check proves or refutes.  The
-    controls are sampled a block (_block) at a time, the first cut at N/2 as
-    a mirror's is, up to the first block that differs from step 0's.  A run
+    H, are equal; else "mirror", which _Mirror.check proves or refutes, or
+    "full" for a model that gives no mirror_residual.  The controls are
+    sampled a block (_block) at a time, the first cut at N/2 as a mirror's
+    is, up to the first block that differs from step 0's.  A run
     that stores a trajectory steps every map, which gives the constant
     path's bits, so it is decided from its first block alone: "full" if
     that block is constant, else "mirror"."""
@@ -765,62 +815,61 @@ def _structure(req: EvolveRequest, steps: int):
             return ("full" if req.store_trajectory else "constant"), first
         block = _samples(req, steps, lo, min(lo + width, steps))
         lo += width
-    return "mirror", first
+    return ("mirror" if hasattr(req.model, "mirror_residual") else "full"), first
 
 
 class _Mirror:
     """A run's mirror identity (see the module docstring), Pi the swap of
     the first two basis states and c_j the mean of the diagonal of
-    H_{N-1-j} - Pi H_j Pi.  check(h, lo, hi), the gate _step_maps calls on
-    each first-half block before its maps are formed, samples the block's
-    mirror image, steps N - hi to N - lo - 1, adds the block's dt ||E_j||
-    (Frobenius) to `bound` and its c_j to `c_sum`, and is false once the
-    bound passes _MIRROR_TOL (inf for an H_j that is not exactly complex
-    symmetric).  keep(root), called with each first-half chunk's root in
-    order, multiplies it into P, the first half's product.  final(psi) is
-    e^(-i dt sum c_j) Pi P^T Pi [M] P psi, M the middle map of an odd N."""
+    H_{N-1-j} - Pi H_j Pi.  check(h, controls, lo, hi), the gate _step_maps
+    calls on each first-half block before its maps are formed, with the
+    block's H and the controls it was built from, samples the block's
+    mirror image, steps N - hi to N - lo - 1, and has the model's
+    mirror_residual give c_j and ||E_j||^2 (Frobenius) from the two
+    samples, with no mirrored H built.  It adds the block's dt ||E_j|| to
+    `bound` and its c_j to `c_sum`, and is false once the bound passes
+    _MIRROR_TOL (inf for an H_j that is not exactly complex symmetric).
+    keep(root, shift), called with each first-half chunk's root of
+    phase-free maps and its phase sum in order, multiplies the root into P,
+    the first half's product, and adds the sum to `shift`.  final(psi) is
+    e^(2 shift + m_mid - i dt sum c_j) Pi P^T Pi [M] P psi, M the phase-free
+    middle map of an odd N and m_mid its phase."""
 
     def __init__(self, req: EvolveRequest, steps: int):
         n = req.model.dim
         self.req, self.steps = req, steps
         self.dt = req.schedule.duration / steps
         swap = [1, 0, *range(2, n)]
-        # the rows of (Pi X Pi)_ij = X_{swap i, swap j} and (Pi X^T Pi)_ij
-        self.mirrored = [swap[i] * n + swap[j] for i in range(n) for j in range(n)]
+        # the rows of (Pi X^T Pi)_ij = X_{swap j, swap i}
         self.transposed = [swap[j] * n + swap[i] for i in range(n) for j in range(n)]
-        self.bound, self.c_sum, self.p = 0.0, 0j, None
+        self.bound, self.c_sum, self.shift, self.p = 0.0, 0j, 0j, None
 
-    def check(self, h: np.ndarray, lo: int, hi: int) -> bool:
+    def check(self, h: np.ndarray, controls, lo: int, hi: int) -> bool:
         n, steps = self.req.model.dim, self.steps
-        first = to_entry_rows(h).reshape(n * n, -1)
-        if not _symmetric(first):
+        if not _symmetric(to_entry_rows(h).reshape(n * n, -1)):
             self.bound = math.inf
             return False
         mirror = [x[::-1] for x in _samples(self.req, steps, steps - hi, steps - lo)]
-        e = to_entry_rows(self.req.model.hamiltonian_batch(*mirror)).reshape(n * n, -1)
-        # row by row: gathering first[self.mirrored] would copy the block
-        for row, src in zip(e, self.mirrored):
-            row -= first[src]
-        c = e[:: n + 1].sum(axis=0) / n
-        e[:: n + 1] -= c
-        # squared moduli from the (re, im) pairs of the float view
-        ev = e.view(float)
-        sq = np.einsum("ib,ib->b", ev, ev)
-        self.bound += self.dt * float(np.sum(np.sqrt(sq[0::2] + sq[1::2])))
+        c, sq = self.req.model.mirror_residual(controls, mirror)
+        self.bound += self.dt * float(np.sum(np.sqrt(sq)))
         self.c_sum += c.sum()
         return self.bound <= _MIRROR_TOL
 
-    def keep(self, root: np.ndarray) -> None:
+    def keep(self, root: np.ndarray, shift: complex) -> None:
         # the first root owns its memory: only a one-step chunk's root is a
         # view of the run's maps, and the first chunk has min(chunk, N/2) >= 5 steps
         self.p = root if self.p is None else _mul(root, self.p)
+        self.shift += shift
 
     def final(self, psi: np.ndarray) -> np.ndarray:
         v = _apply(self.p, psi[:, None])
+        shift = 2.0 * self.shift
         half = self.steps // 2
         if self.steps % 2:
-            v = _apply(_step_maps(self.req, half, half + 1), v)
-        return np.exp(-1j * self.dt * self.c_sum) * _apply(self.p[self.transposed], v)[:, 0]
+            middle, m = _step_maps(self.req, half, half + 1)
+            v = _apply(middle, v)
+            shift += m
+        return np.exp(shift - 1j * self.dt * self.c_sum) * _apply(self.p[self.transposed], v)[:, 0]
 
 
 def evolve(req: EvolveRequest) -> EvolveResult:
@@ -852,11 +901,16 @@ def evolve(req: EvolveRequest) -> EvolveResult:
     traj_states = np.empty((steps + 1, dim), dtype=complex) if req.store_trajectory else None
     path, first = _structure(req, steps) if req.method is Method.PIECEWISE_EXPM else ("full", None)
     sample = _Sampler(req, steps, first)
-    chunk, lo, end, mirror, check = _chunk(dim), 0, steps, None, None
-    # every chunk's maps are formed into this one array
+    chunk, width, lo, end, mirror, check = _chunk(dim), _block(dim), 0, steps, None, None
+    # every chunk's maps are formed into this one array, and their phases
+    # into one block's, or a chunk's when every state is stored: zeros, as
+    # only 2x2 exponential maps write theirs (_step_maps)
     maps = np.empty((dim * dim, min(chunk, steps)), dtype=complex)
+    phases = np.zeros(
+        maps.shape[-1] if traj_states is not None else min(width, steps), dtype=complex
+    )
     if path == "constant":
-        one = _step_maps(req, 0, 1, sample=sample)
+        one, m_one = _step_maps(req, 0, 1, sample=sample, phase=phases)
     elif path == "mirror":
         mirror = _Mirror(req, steps)
         check, end = mirror.check, steps // 2
@@ -868,25 +922,35 @@ def evolve(req: EvolveRequest) -> EvolveResult:
             hi = min(lo + chunk, end)
             if path == "constant":
                 root, levels = _tree_power(one, hi - lo), None
+                # the stepped run's phase sum, block by block, bit for bit
+                shift = sum(np.full(min(width, hi - b), m_one).sum() for b in range(lo, hi, width))
             else:
-                u = _step_maps(req, lo, hi, check, maps, sample)
-                if u is None:  # refuted: step on from this chunk
+                formed = _step_maps(req, lo, hi, check, maps, sample, phases)
+                if formed is None:  # refuted: step on from this chunk
                     path, check, end = "full", None, steps
                     continue
+                u, shift = formed
                 levels = [u] if traj_states is not None else None
                 root = _up_sweep(u, levels)
             if check is not None:
-                mirror.keep(root)
+                mirror.keep(root, shift)
                 if hi == end:  # proved: a stored trajectory steps on, a plain run ends
                     check, end = None, steps if traj_states is not None else lo
                     if hi - lo < chunk:  # cut at N/2: only its root counts
                         continue
             if levels is not None:
-                # the trajectory's states, the chunk's first included,
-                # are written straight into its storage
-                psi = _chain_apply(levels, psi, traj_states[lo : hi + 1])[-1].copy()
+                # the trajectory's states, the chunk's first included, are
+                # written straight into its storage and take e^(cumsum m)
+                states = _chain_apply(levels, psi, traj_states[lo : hi + 1])
+                m = phases[: hi - lo - 1]
+                if np.any(m):
+                    states[:-1] *= np.exp(np.cumsum(m))[:, None]
+                psi = states[-1]
             else:
                 psi = _apply(root, psi[:, None])[:, 0]
+            if shift:
+                # the chunk's last state takes e^(sum m) on either branch
+                psi *= np.exp(shift)
             final_norm_sq = _check_state(psi)
             lo = hi
         if path == "mirror":

@@ -556,3 +556,29 @@ def test_cli_import_loads_no_process_pool():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+def test_out_naming_a_file_is_config_error_before_any_run(tmp_path, capsys, monkeypatch, command):
+    # the output directory is made before any evolve, so an --out that names
+    # a file costs no run: a config error, exit 1, no traceback, and the
+    # file untouched; the same command with a directory runs
+    monkeypatch.delenv("QUAD_WORKERS", raising=False)
+    runs = []
+    evolve = quadsim.sweeps.evolve
+
+    def counted(req):
+        runs.append(req)
+        return evolve(req)
+
+    monkeypatch.setattr(quadsim.sweeps, "evolve", counted)
+    text = TWO_LEVEL_BASE + "\n[sweep]\naxis = amplitude_scale\nlo = 0.9\nhi = 1.1\npoints = 3\n"
+    cfg_path = write_config(tmp_path, text)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    assert main([command, "--config", cfg_path, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--out" in err and "Traceback" not in err
+    assert runs == [] and taken.read_text() == "keep"
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "fresh")]) == 0
+    assert runs

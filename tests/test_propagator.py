@@ -361,14 +361,14 @@ def series_size(a: np.ndarray) -> tuple[int, int]:
 
 
 def spy_2x2(monkeypatch) -> list:
-    """How expm_small forms each 2x2 batch's e^m cosh(s) and e^m sinh(s)/s
-    from now on, in call order: ("series", degree) or ("closed", None)."""
+    """How expm_small forms each 2x2 batch's cosh(s) and sinh(s)/s from now
+    on, in call order: ("series", degree) or ("closed", None)."""
     taken = []
     series, closed = propagator._cosh_sinhc_series, propagator._cosh_sinhc_closed
 
-    def spy_series(m, q, degree):
+    def spy_series(q, degree):
         taken.append(("series", degree))
-        return series(m, q, degree)
+        return series(q, degree)
 
     def spy_closed(m, q):
         taken.append(("closed", None))
@@ -478,6 +478,37 @@ class TestSeries2x2:
         assert taken == [("series", 2), ("series", 9), ("series", 9)]
         expected = mpmath_expm(small[0])
         assert np.linalg.norm(mixed[0] - expected) <= 4 * EPS * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("q", [0.0, 1.5e-4, 1.0, 6.0])
+    @pytest.mark.parametrize("kind", ["skew", "general", "decay"])
+    def test_phase_free_maps_match_mpmath(self, kind, q):
+        # V = e^(-m) exp(A), m the half-trace, is exp(A - m I) to 4 eps, past
+        # Re(m) = 709 too, where the series now takes the batch; A - m I is
+        # [[d, a01], [a10, -d]], d = (a00 - a11)/2 as the kernel forms it
+        shifts = (0.0, 0.3j, 709.5)
+        a = np.stack([two_by_two(kind, q, seed) + z * np.eye(2) for seed, z in enumerate(shifts)])
+        m = np.empty(len(a), dtype=complex)
+        v = expm_small(a, phase=m)
+        assert np.array_equal(m, 0.5 * (a[:, 0, 0] + a[:, 1, 1]))
+        for ai, vi in zip(a, v):
+            d = 0.5 * (ai[0, 0] - ai[1, 1])
+            expected = mpmath_expm(np.array([[d, ai[0, 1]], [ai[1, 0], -d]]))
+            assert np.linalg.norm(vi - expected) <= 4 * EPS * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            pytest.param(lambda: lambda_sweep(64), id="decoupled"),
+            pytest.param(lambda: np.stack([random_matrix(3, seed) for seed in range(8)]), id="taylor"),
+        ],
+    )
+    def test_phase_leaves_3x3_maps_whole(self, batch):
+        # only the 2x2 kernel factors out its phase: a 3x3 map keeps every
+        # bit of exp(A) and its m is 0
+        a = batch()
+        m = np.full(len(a), np.nan, dtype=complex)
+        assert np.array_equal(expm_small(a, phase=m), expm_small(a))
+        assert np.array_equal(m, np.zeros(len(a)))
 
     @pytest.mark.parametrize(
         "q, degree", [(0.0, 0), (1e-300, 0), (4e-8, 2), (1.5e-4, 3), (1.0, 9), (4.0, 11)]
@@ -990,6 +1021,10 @@ class NegatedModel:
     def hamiltonian_batch(self, delta, omega_p, omega_s):
         return -self.model.hamiltonian_batch(delta, omega_p, omega_s)
 
+    def mirror_residual(self, controls, mirrored):
+        c, sq = self.model.mirror_residual(controls, mirrored)
+        return -c, sq
+
 
 def backward(req: EvolveRequest) -> EvolveRequest:
     """req's run backwards in time, -H sampled at T - t: for a Hermitian H it
@@ -1180,14 +1215,17 @@ def test_step_maps_match_whole_chunk_exponential(monkeypatch, make, dim, kernels
     # block by block match the exponential of the whole range's -i H dt,
     # bitwise for the 3x3 kernels.  numpy's SIMD loops round the tail of an
     # array differently, and the 2x2 series takes its degree from each
-    # block's largest |q|, so a 2x2 map entry may move by an ulp or two
+    # block's largest |q|, so a 2x2 map entry may move by an ulp or two.
+    # Both are the phase-free maps, and their phases sum to the whole range's
     lo, length = 5, length(dim)
     req = make(steps=lo + length + 7)
     dt = req.schedule.duration / req.steps
     mid = (np.arange(lo, lo + length) + 0.5) * dt
-    expected = expm_small(-1j * dt * hamiltonian(req, mid))
+    phase = np.empty(length, dtype=complex)
+    expected = expm_small(-1j * dt * hamiltonian(req, mid), phase=phase)
     taken = spy_kernels(monkeypatch)
-    rows = propagator._step_maps(req, lo, lo + length)
+    rows, shift = propagator._step_maps(req, lo, lo + length)
+    assert shift == pytest.approx(phase.sum(), rel=0, abs=length * EPS * np.max(np.abs(phase)))
     assert set(taken) == kernels
     # contiguous entry rows, which the product tree reads without a copy
     assert rows.shape == (dim * dim, length) and rows.flags.c_contiguous
@@ -1347,10 +1385,10 @@ def agreement_bound(req: EvolveRequest) -> float:
     return max(1e-9, 4 * EPS * req.steps * dt * float(np.max(np.linalg.norm(h, axis=(-2, -1)))))
 
 
-def stirap_request(gamma: float, steps: int, **kwargs) -> EvolveRequest:
+def stirap_request(gamma: float, steps: int, omega_m: float = 0.0, **kwargs) -> EvolveRequest:
     # the bundled Lambda scenario's STIRAP run, equal peaks
     params = LambdaParams(
-        omega_p0=OMEGA0, omega_s0=OMEGA0, delta_one_photon=DELTA_BIG, gamma=gamma
+        omega_p0=OMEGA0, omega_s0=OMEGA0, delta_one_photon=DELTA_BIG, omega_m=omega_m, gamma=gamma
     )
     return EvolveRequest(
         model=make_model(params),
@@ -1491,6 +1529,23 @@ def test_non_symmetric_hamiltonian_takes_full_path(monkeypatch):
     req = replace(two_level_request(steps=4000), model=SigmaYModel(TwoLevelParams(omega_m=OMEGA_M)))
     got = evolve(req)
     assert got.path == "full" and got.mirror_bound == math.inf
+    assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
+
+
+class PlainModel:
+    """A model that builds H and gives no mirror residual formula."""
+
+    def __init__(self, model):
+        self.model, self.dim = model, model.dim
+
+    def hamiltonian_batch(self, delta, omega_p, omega_s):
+        return self.model.hamiltonian_batch(delta, omega_p, omega_s)
+
+
+def test_model_without_residual_formula_takes_full_path(monkeypatch):
+    req = two_level_request(steps=4000)
+    got = evolve(replace(req, model=PlainModel(req.model)))
+    assert got.path == "full" and got.mirror_bound is None
     assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
 
 
@@ -1635,12 +1690,60 @@ def test_mirror_gate_keeps_the_gathered_residual_bits(make):
     n, steps = req.model.dim, req.steps
     hi = propagator._block(n)
     assert hi <= steps // 2
-    h = req.model.hamiltonian_batch(*propagator._samples(req, steps, 0, hi))
+    controls = propagator._samples(req, steps, 0, hi)
+    h = req.model.hamiltonian_batch(*controls)
     mirror = propagator._Mirror(req, steps)
-    passed = mirror.check(h, 0, hi)
+    passed = mirror.check(h, controls, 0, hi)
     bound, c_sum = gathered_gate(req, h, 0, hi)
     assert mirror.bound == bound and mirror.c_sum == c_sum
     assert passed
+
+
+def first_half_blocks(dim: int) -> tuple[int, list[tuple[int, int]]]:
+    # an odd step count whose first half is two whole blocks and 5 steps,
+    # and those three first-half blocks
+    block = propagator._block(dim)
+    return 2 * (2 * block + 5) + 1, [(0, block), (block, 2 * block), (2 * block, 2 * block + 5)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            functools.partial(two_level_request, amplitude_scale=1.2), id="two-level-scale"
+        ),
+        pytest.param(
+            functools.partial(two_level_request, amplitude_offset=0.1 * OMEGA_M),
+            id="two-level-offset",
+        ),
+        pytest.param(
+            functools.partial(two_level_request, detuning_offset=0.1 * OMEGA_M),
+            id="two-level-refuted",
+        ),
+        pytest.param(
+            functools.partial(stirap_request, GAMMA, omega_m=OMEGA_M), id="stirap-omega-m"
+        ),
+        pytest.param(
+            functools.partial(stirap_request, GAMMA, amplitude_offset=0.05 * OMEGA0),
+            id="stirap-offset",
+        ),
+        pytest.param(functools.partial(lambda_request, GAMMA), id="lambda-siquad-refuted"),
+    ],
+)
+def test_model_residual_keeps_the_gathered_bits(make):
+    # each model's residual formula, on whole first-half blocks and the short
+    # last one, passing or refuting: the gate's bound and sum c_j keep the
+    # bits of the residual gathered from the built and mirrored H
+    steps, blocks = first_half_blocks(make(steps=propagator.MIN_STEPS).model.dim)
+    req = make(steps=steps)
+    for lo, hi in blocks:
+        controls = propagator._samples(req, steps, lo, hi)
+        h = req.model.hamiltonian_batch(*controls)
+        mirror = propagator._Mirror(req, steps)
+        passed = mirror.check(h, controls, lo, hi)
+        bound, c_sum = gathered_gate(req, h, lo, hi)
+        assert mirror.bound == bound and mirror.c_sum == c_sum
+        assert passed == (bound <= propagator._MIRROR_TOL)
 
 
 def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
@@ -1798,6 +1901,64 @@ def test_streamed_roots_keep_every_bit(make, path):
     assert np.max(np.abs(got.final.amplitudes - expected)) <= tol
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            functools.partial(two_level_request, steps=2 * propagator._chunk(2) + 3),
+            id="two-level",
+        ),
+        pytest.param(
+            functools.partial(lambda_request, GAMMA, 2 * propagator._chunk(3) + 3),
+            id="lambda-decay",
+        ),
+    ],
+)
+def test_trajectory_takes_each_step_phase(make):
+    # over three chunks, every stored state takes e^(cumsum m) of its
+    # chunk's phases: the rows stay within 1e-12 (relative), the row
+    # tolerance of perfbench's trajectory gate, of the states of every
+    # exp(-i H dt) map applied one at a time.  Measured: 1.7e-13 (two-level;
+    # 2.8e-13 with e^m in every map).  The Lambda maps keep their phase
+    # (m = 0), and their rows stay at 8.2e-15
+    req = replace(make(), store_trajectory=True)
+    got = evolve(req)
+    dt = req.schedule.duration / req.steps
+    a = -1j * dt * hamiltonian(req, (np.arange(req.steps) + 0.5) * dt)
+    assert np.max(np.abs(np.trace(a, axis1=1, axis2=2))) > 0.0
+    expected = sequential_states(expm_small(a), req.initial.amplitudes)
+    states = got.trajectory[1]
+    assert np.array_equal(states[0], req.initial.amplitudes)
+    err = np.linalg.norm(states[1:] - expected, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(expected, axis=1))
+
+
+@pytest.mark.parametrize("steps", STEP_COUNTS)
+def test_constant_path_keeps_the_stepped_phase_sum(monkeypatch, steps):
+    # a detuning offset gives every FLAT_PI map the phase m = -i dt delta / 2:
+    # the constant path sums it as the stepped run does, bit for bit
+    flat_pi = ScheduleKind.FLAT_PI
+    req = two_level_request(
+        flat_pi, TWO_LEVEL_T[flat_pi], steps=steps(2), detuning_offset=0.1 * OMEGA_M
+    )
+    got = evolve(req)
+    assert got.path == "constant"
+    assert np.array_equal(got.final.amplitudes, full_path(monkeypatch, req).final.amplitudes)
+
+
+@pytest.mark.parametrize("protocol", [ScheduleKind.SIQUAD, ScheduleKind.FAQUAD])
+def test_fig2b_norm_drift(protocol):
+    # the fig2b runs at 9 amplitude scales: with each chunk's phase e^(sum m)
+    # taken once, |norm^2 - 1| reads 4.3e-13 (SIQUAD) and 2.5e-13 (FAQUAD);
+    # with e^m in every map it read 8.3e-13 and 1.05e-12
+    run = load_config("fig2b_amplitude").run
+    drift = [
+        abs(run_protocol(run, protocol, amplitude_scale=float(scale)).final_norm_sq - 1.0)
+        for scale in np.linspace(0.9, 1.1, 9)
+    ]
+    assert max(drift) <= 6e-13
+
+
 class CountingModel:
     """A model that records the length of every Hamiltonian batch it builds."""
 
@@ -1809,6 +1970,9 @@ class CountingModel:
     def hamiltonian_batch(self, delta, omega_p, omega_s):
         self.batches.append(len(delta))
         return self.model.hamiltonian_batch(delta, omega_p, omega_s)
+
+    def mirror_residual(self, controls, mirrored):
+        return self.model.mirror_residual(controls, mirrored)
 
 
 REFUTED = [
@@ -1826,10 +1990,24 @@ def test_refuted_mirror_stops_at_the_same_block(make, dim):
     got = evolve(replace(req, model=counting))
     assert got.path == "full" and got.mirror_bound > propagator._MIRROR_TOL
     block, chunk = propagator._block(dim), propagator._chunk(dim)
-    # each of the mirror's blocks builds its own H and its mirror's
-    mirror = [block] * 2 * (refuted_pair(dim) // block + 1)
+    # each of the mirror's blocks builds its own H; the gate reads the
+    # mirror's samples alone
+    mirror = [block] * (refuted_pair(dim) // block + 1)
     stepped = [block] * ((req.steps - chunk) // block) + [(req.steps - chunk) % block]
     assert counting.batches == mirror + stepped
+
+
+@pytest.mark.parametrize("make, dim", REFUTED)
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+def test_mirror_run_builds_h_only_for_the_maps_it_forms(monkeypatch, make, dim, odd):
+    # the gate reads the mirror's samples, not a mirrored H: a proved mirror
+    # builds H for its first half and an odd run's middle step alone
+    steps = half_past_first_chunk(dim) - (not odd)
+    req = make(steps=steps)
+    counting = CountingModel(req.model)
+    got, formed, _ = counted_evolve(monkeypatch, replace(req, model=counting))
+    assert got.path == "mirror"
+    assert sum(counting.batches) == formed == (steps + 1) // 2
 
 
 @pytest.mark.parametrize("make, dim", REFUTED)
@@ -1877,9 +2055,10 @@ def test_rk4_maps_do_not_depend_on_the_range():
     # as a run's later blocks take it from the block before: the same bits
     block = propagator._block(2)
     req = two_level_request(steps=block + 20, method=Method.RK4)
-    whole = propagator._step_maps(req, 0, req.steps)
+    whole, _ = propagator._step_maps(req, 0, req.steps)
     lo, hi = block - 3, block + 9
-    assert np.array_equal(propagator._step_maps(req, lo, hi), whole[:, lo:hi])
+    part, shift = propagator._step_maps(req, lo, hi)
+    assert np.array_equal(part, whole[:, lo:hi]) and shift == 0
 
 
 class TestEvolveWithDecay:
