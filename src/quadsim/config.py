@@ -163,6 +163,18 @@ def load_config_text(text: str) -> RunConfig:
         protocols.append(kind)
     if scenario is Scenario.TWO_LEVEL and ScheduleKind.STIRAP_GAUSSIAN in protocols:
         raise ConfigError("key protocol: stirap requires scenario = three_level")
+    # keys the run would never read: the other scenario's parameters, and
+    # the STIRAP pulse shape when no protocol is stirap
+    if scenario is Scenario.TWO_LEVEL:
+        unread = {"omega0_hz", "delta_big_hz", "gamma_hz"}
+    else:
+        unread = {"omega_m_hz"}
+    if ScheduleKind.STIRAP_GAUSSIAN not in protocols:
+        unread |= {"tau_sep_s", "sigma_s"}
+    unread = sorted(unread & set(main))
+    if unread:
+        names = ", ".join(p.value for p in protocols)
+        raise ConfigError(f"key {unread[0]}: not read by scenario {scenario.value} with {names}")
 
     # params field -> the config key it is read from
     if scenario is Scenario.TWO_LEVEL:

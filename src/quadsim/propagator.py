@@ -37,19 +37,21 @@ Two fixed-step methods:
                     stiff three-level runs.
 
 Every run samples its controls a block at a time, as that block's maps are
-formed (_samples, _Sampler): each step's midpoint, or each of RK4's 2N + 1
-half steps, once, but where a mirror run samples some again (below).  A
-PIECEWISE_EXPM run takes an exact identity of the midpoint rule where its
-samples prove one; no option selects it:
+formed (_samples, a function of the block's step range alone): each step's
+midpoint once, but where a mirror run samples some again (below).  An RK4
+block reads its 2 k + 1 half steps, so the half step on a block's edge is
+sampled by both blocks beside it.  A PIECEWISE_EXPM run takes an exact
+identity of the midpoint rule where the schedule or the model states one;
+no option selects it:
 
-    constant  every step's controls, and so its H, are equal (FLAT_PI): the
-              one step map is raised to each chunk's length by the product
-              tree's own pairing, about 2 log2(chunk) products, and its
-              phase summed block by block as the stepped run sums it, which
-              gives the stepped run's bits.  A run that stores a trajectory
-              steps every map anyway, so it is judged on its first block
-              alone: a constant first block takes the full path, any other
-              the mirror.
+    constant  the schedule's controls do not depend on t (its `constant`:
+              FLAT_PI), so every step's H is equal: the one step map, from
+              step 0's controls, the only instant the run samples, is
+              raised to each chunk's length by the product tree's own
+              pairing, about 2 log2(chunk) products, and its phase summed
+              block by block as the stepped run sums it, which gives the
+              stepped run's bits.  A run that stores a trajectory steps
+              every map anyway, so it takes the full path.
     mirror    with Pi the two-level swap or the Lambda ground-state swap and
               scalars c_j, H_{N-1-j} = Pi H_j Pi + c_j I + E_j, every H_j
               complex symmetric and sum_{j<N/2} dt ||E_j|| (Frobenius) at most
@@ -63,8 +65,10 @@ samples prove one; no option selects it:
               of contractions, so for gamma > 0 too.  The model gives c_j and
               ||E_j|| from the controls at j and N-1-j (mirror_residual); a
               model without that formula takes the full path.
-    full      RK4, which looks for no structure, and every run the samples
-              refute: each step's map is formed and applied.
+    full      RK4, which looks for no structure, a constant drive's
+              trajectory run, a model without mirror_residual and every run
+              the mirror's gate refutes: each step's map is formed and
+              applied.
 
 A run is one forward pass over chunks, each yielding one root: the constant
 power, or the product tree of its maps, formed under the mirror's gate in
@@ -181,7 +185,8 @@ class EvolveResult:
     """A run's final state and, with store_trajectory, every state on the
     way.  `path` names what gave the final state: "constant", "mirror" or
     "full", the stepped run, a refuted mirror's included (see the module
-    docstring); `mirror_bound` is the gate's sum dt ||E_j|| where it was
+    docstring), as the schedule and the model picked it (_structure) and the
+    gate kept it; `mirror_bound` is the gate's sum dt ||E_j|| where it was
     evaluated (up to the block that refuted it, inf for an H that is not
     symmetric), else None.  Neither is written to any output file."""
 
@@ -703,50 +708,19 @@ def _block(n: int) -> int:
 
 def _samples(req: EvolveRequest, steps: int, lo: int, hi: int):
     """The controls (delta, omega_p, omega_s) that steps lo to hi - 1 of a
-    `steps`-step run add, from one _controls call: their midpoints, or for
-    RK4 their half steps 2 lo + 1 to 2 hi, and half step 0 when lo = 0
-    (half step 2 lo ends the step before).  A sample does not depend on the
-    range it is taken in, so the ranges of any partition of the run take
-    each instant once, with the bits of one call on the whole run."""
+    `steps`-step run read, from one _controls call: their midpoints, or for
+    RK4 their half steps 2 lo to 2 hi.  A sample does not depend on the
+    range it is taken in: each instant has the bits of one call on the
+    whole run, so blocks may be sampled in any order, and RK4's neighbouring
+    blocks share the half step on their edge."""
     dt = req.schedule.duration / steps
     if req.method is Method.RK4:
-        return _controls(req, np.arange(2 * lo + (lo > 0), 2 * hi + 1) * (0.5 * dt))
+        return _controls(req, np.arange(2 * lo, 2 * hi + 1) * (0.5 * dt))
     return _controls(req, (np.arange(lo, hi) + 0.5) * dt)
 
 
-class _Sampler:
-    """A run's controls, a block of steps lo to hi - 1 at a time (_block),
-    for _step_maps: at their midpoints, or at their 2 (hi - lo) + 1 RK4 half
-    steps.  Blocks taken in step order sample each instant once (_samples):
-    an RK4 block starts from the half step the block before it ended on, and
-    `first`, the controls _structure took from step 0, serve the first block
-    asked for if it starts at step 0: a mirror's first block, or the start
-    of a stepped run's, whose steps past `first` are sampled on."""
-
-    def __init__(self, req: EvolveRequest, steps: int, first=None):
-        self.req, self.steps, self.first = req, steps, first
-        self.edge = None  # RK4: (step, the controls at its first half step)
-
-    def __call__(self, lo: int, hi: int):
-        first, self.first = self.first, None
-        if first is not None and lo == 0:
-            taken = len(first[0])
-            if hi <= taken:
-                return tuple(x[:hi] for x in first)
-            rest = _samples(self.req, self.steps, taken, hi)
-            return tuple(np.concatenate(pair) for pair in zip(first, rest))
-        new = _samples(self.req, self.steps, lo, hi)
-        if self.req.method is Method.RK4:
-            if lo > 0:
-                if self.edge is None or self.edge[0] != lo:
-                    self.edge = lo, [x[-1:] for x in _samples(self.req, self.steps, lo - 1, lo)]
-                new = tuple(np.concatenate(pair) for pair in zip(self.edge[1], new))
-            self.edge = hi, [x[-1:] for x in new]
-        return new
-
-
 def _step_maps(
-    req: EvolveRequest, lo: int, hi: int, check=None, out=None, sample=None, phase=None
+    req: EvolveRequest, lo: int, hi: int, check=None, out=None, phase=None
 ) -> tuple[np.ndarray, complex] | None:
     """The phase-free maps of steps lo to hi - 1, V_j = e^(-m_j) exp(-i H_j
     dt) (expm_small's `phase`), and sum m_j, summed block by block.  The maps
@@ -758,19 +732,16 @@ def _step_maps(
     Every other map, RK4's too, has m_j = 0 and leaves `phase` as it is.
 
     Each block of steps (_block: 8192 two-level, 2048 Lambda) is sampled
-    (`sample`, the run's _Sampler, else a new one) as its Hamiltonian,
-    -i H dt and maps are formed, so no temporary outgrows a block and all
-    stay in cache; expm_small writes each block's maps straight into their
-    columns (out=), with no copy.  Called on at most one chunk (_chunk) at a
-    time.  `check(h, controls, j0, j1)`, when given, sees the H of steps j0
-    to j1 - 1, and the controls it was built from, before their maps are
-    formed; once it returns False no more maps are formed and None is
-    returned."""
+    (_samples) as its Hamiltonian, -i H dt and maps are formed, so no
+    temporary outgrows a block and all stay in cache; expm_small writes
+    each block's maps straight into their columns (out=), with no copy.
+    Called on at most one chunk (_chunk) at a time.  `check(h, controls,
+    j0, j1)`, when given, sees the H of steps j0 to j1 - 1, and the controls
+    it was built from, before their maps are formed; once it returns False
+    no more maps are formed and None is returned."""
     n = req.model.dim
     steps = resolve_steps(req.steps, n)
     dt = req.schedule.duration / steps
-    if sample is None:
-        sample = _Sampler(req, steps)
     maps = np.empty((n * n, hi - lo), dtype=complex) if out is None else out[:, : hi - lo]
     width = _block(n)
     if phase is None:
@@ -778,7 +749,7 @@ def _step_maps(
     shift = 0j
     for b in range(lo, hi, width):
         end = min(b + width, hi)
-        controls = sample(b, end)
+        controls = _samples(req, steps, b, end)
         h = req.model.hamiltonian_batch(*controls)
         if check is not None and not check(h, controls, b, end):
             return None
@@ -796,26 +767,17 @@ def _step_maps(
     return maps, shift
 
 
-def _structure(req: EvolveRequest, steps: int):
-    """The identity of the midpoint rule that evolve tries on a
-    PIECEWISE_EXPM run, and the controls of its first block, which the run
-    takes again (_Sampler): "constant" when every step's controls, and so its
-    H, are equal; else "mirror", which _Mirror.check proves or refutes, or
-    "full" for a model that gives no mirror_residual.  The controls are
-    sampled a block (_block) at a time, the first cut at N/2 as a mirror's
-    is, up to the first block that differs from step 0's.  A run
-    that stores a trajectory steps every map, which gives the constant
-    path's bits, so it is decided from its first block alone: "full" if
-    that block is constant, else "mirror"."""
-    width = _block(req.model.dim)
-    first = block = _samples(req, steps, 0, min(width, steps // 2))
-    lo = len(first[0])
-    while all(np.all(x == x0[0]) for x, x0 in zip(block, first)):
-        if lo >= steps or req.store_trajectory:
-            return ("full" if req.store_trajectory else "constant"), first
-        block = _samples(req, steps, lo, min(lo + width, steps))
-        lo += width
-    return ("mirror" if hasattr(req.model, "mirror_residual") else "full"), first
+def _structure(req: EvolveRequest) -> str:
+    """The identity of the midpoint rule a PIECEWISE_EXPM run takes, from
+    what the schedule and the model declare, before any sample: "constant"
+    when the schedule's controls do not depend on t (`constant`; a schedule
+    without it counts as not constant), or "full" if such a run stores a
+    trajectory, as it steps every map anyway; else "mirror", which
+    _Mirror.check proves or refutes, or "full" for a model that gives no
+    mirror_residual."""
+    if getattr(req.schedule, "constant", False):
+        return "full" if req.store_trajectory else "constant"
+    return "mirror" if hasattr(req.model, "mirror_residual") else "full"
 
 
 class _Mirror:
@@ -883,7 +845,7 @@ def evolve(req: EvolveRequest) -> EvolveResult:
     half's roots into its product (_Mirror.keep).  A refuted mirror steps
     on from the refuting chunk; a proved one with a stored trajectory, from
     the start of the chunk cut at N/2.  The controls are sampled block by
-    block as the maps are formed (_Sampler) into one (n*n, chunk) array per
+    block as the maps are formed (_samples) into one (n*n, chunk) array per
     run, so no array of the run but a stored trajectory grows with its step
     count.  The state is checked after each chunk.  Raises ValueError for a
     bad request (dimension, steps < MIN_STEPS, unknown method) and
@@ -899,8 +861,7 @@ def evolve(req: EvolveRequest) -> EvolveResult:
 
     psi = initial = np.array(req.initial.amplitudes, dtype=complex)
     traj_states = np.empty((steps + 1, dim), dtype=complex) if req.store_trajectory else None
-    path, first = _structure(req, steps) if req.method is Method.PIECEWISE_EXPM else ("full", None)
-    sample = _Sampler(req, steps, first)
+    path = _structure(req) if req.method is Method.PIECEWISE_EXPM else "full"
     chunk, width, lo, end, mirror, check = _chunk(dim), _block(dim), 0, steps, None, None
     # every chunk's maps are formed into this one array, and their phases
     # into one block's, or a chunk's when every state is stored: zeros, as
@@ -910,7 +871,7 @@ def evolve(req: EvolveRequest) -> EvolveResult:
         maps.shape[-1] if traj_states is not None else min(width, steps), dtype=complex
     )
     if path == "constant":
-        one, m_one = _step_maps(req, 0, 1, sample=sample, phase=phases)
+        one, m_one = _step_maps(req, 0, 1, phase=phases)
     elif path == "mirror":
         mirror = _Mirror(req, steps)
         check, end = mirror.check, steps // 2
@@ -925,7 +886,7 @@ def evolve(req: EvolveRequest) -> EvolveResult:
                 # the stepped run's phase sum, block by block, bit for bit
                 shift = sum(np.full(min(width, hi - b), m_one).sum() for b in range(lo, hi, width))
             else:
-                formed = _step_maps(req, lo, hi, check, maps, sample, phases)
+                formed = _step_maps(req, lo, hi, check, maps, phases)
                 if formed is None:  # refuted: step on from this chunk
                     path, check, end = "full", None, steps
                     continue

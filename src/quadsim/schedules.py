@@ -170,6 +170,11 @@ class PulseSchedule:
             if self.sigma <= 0:
                 raise ValueError("sigma must be > 0")
 
+    @property
+    def constant(self) -> bool:
+        """True when delta and the pulses do not depend on t: FLAT_PI alone."""
+        return self.kind is ScheduleKind.FLAT_PI
+
     def delta(self, t):
         if self.kind is ScheduleKind.SIQUAD:
             return siquad_delta(t, self.duration, self.delta_m, self.omega_ref)

@@ -71,6 +71,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="three_level"):
             load_config_text(text)
 
+    @pytest.mark.parametrize(
+        "scenario, line",
+        [
+            ("three_level", "omega_m_hz = 150e3"),
+            ("two_level", "omega0_hz = 5e6"),
+            ("two_level", "delta_big_hz = 10e9"),
+            ("two_level", "gamma_hz = 5.6e6"),
+            ("two_level", "tau_sep_s = 1e-6"),
+            ("two_level", "sigma_s = 1e-6"),
+            ("three_level", "tau_sep_s = 1e-4"),
+            ("three_level", "sigma_s = 1e-4"),
+        ],
+    )
+    def test_key_the_run_never_reads_rejected(self, scenario, line):
+        # the other scenario's parameters, and the STIRAP pulse shape with no
+        # stirap protocol, would be dropped unread
+        text = TWO_LEVEL_BASE
+        if scenario == "three_level":
+            text = text.replace("scenario = two_level", "scenario = three_level").replace(
+                "omega_m_hz = 150e3", "omega0_hz = 5e6\ndelta_big_hz = 10e9"
+            )
+            load_config_text(text)
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"key {key}: not read by scenario {scenario}"):
+            load_config_text(text + line + "\n")
+
     def test_protocol_alias_pi(self):
         text = TWO_LEVEL_BASE.replace("protocol = siquad", "protocol = pi").replace(
             "delta_m_hz = 10e6\n", ""
@@ -498,6 +524,7 @@ def test_preset_resolution_through_cli(tmp_path, capsys, preset):
             "delta_big_hz",
         ),
         ("simulate", "T_s = 1.9433333333333333e-05", "T_s = nan", "T_s"),
+        ("simulate", "steps = 4000", "steps = 4000\ngamma_hz = 5.6e6", "gamma_hz"),
         ("compare", "steps = 4000", "steps = 4000\ncompare_points = 1", "compare_points"),
         ("compare", "steps = 4000", "steps = 4000\ncompare_amp_lo = 1.3", "compare_amp_lo"),
         ("compare", "steps = 4000", "steps = 4000\ncompare_det_hz = 0", "compare_det_hz"),

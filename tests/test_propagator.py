@@ -1350,7 +1350,7 @@ STEP_COUNTS = [
 def full_path(monkeypatch, req: EvolveRequest) -> EvolveResult:
     """req evolved with _structure forced to find no structure."""
     with monkeypatch.context() as m:
-        m.setattr(propagator, "_structure", lambda req, steps: ("full", None))
+        m.setattr(propagator, "_structure", lambda req: "full")
         result = evolve(req)
     assert result.path == "full" and result.mirror_bound is None
     return result
@@ -1570,8 +1570,8 @@ def test_rk4_looks_for_no_structure(protocol):
             )
             for kind, path in [(ScheduleKind.SIQUAD, "mirror"), (ScheduleKind.FLAT_PI, "full")]
         ),
-        # N/2 inside the first block, which _structure samples up to N/2 and
-        # the stepped run samples on from there
+        # N/2 inside the first block, which the mirror's gate cuts at N/2
+        # and a stepped trajectory run samples whole
         *(
             pytest.param(
                 functools.partial(two_level_request, kind, TWO_LEVEL_T[kind], steps=4099),
@@ -1804,7 +1804,7 @@ def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
         pytest.param(
             functools.partial(two_level_request, steps=4099), None, id="mirror-within-first-block"
         ),
-        # a stored trajectory is decided from the first block alone
+        # a constant drive's stored trajectory takes the full path
         *(
             pytest.param(
                 functools.partial(
@@ -1822,19 +1822,25 @@ def test_constant_run_never_exponentiates_the_whole_run(monkeypatch):
     ],
 )
 def test_controls_sampled_once_per_step(monkeypatch, make, refuted_at):
-    # at each step's midpoint, for RK4 at each of the 2 N + 1 half steps.  A
+    # at each step's midpoint; a constant run at step 0's alone.  An RK4
+    # block samples its 2 k + 1 half steps, so each block edge is sampled
+    # twice: 2 N + 1 half steps and one more per block after the first.  A
     # run the gate refutes at step j also samples the mirror images of the
     # first half's blocks up to j's, and its refuted chunk's steps up to the
     # end of j's block again, as the stepped run forms that chunk
     req = make()
     result, _, sampled = counted_evolve(monkeypatch, req)
-    extra = 0
+    block, chunk = propagator._block(req.model.dim), propagator._chunk(req.model.dim)
+    expected = 1 if result.path == "constant" else req.steps
     if refuted_at is not None:
-        block, chunk = propagator._block(req.model.dim), propagator._chunk(req.model.dim)
         end = min((refuted_at // block + 1) * block, req.steps // 2)
-        extra = end + end - refuted_at // chunk * chunk
+        expected += end + end - refuted_at // chunk * chunk
         assert result.path == "full" and result.mirror_bound > propagator._MIRROR_TOL
-    assert sampled == (2 * req.steps + 1 if req.method is Method.RK4 else req.steps) + extra
+    if req.method is Method.RK4:
+        # every chunk is cut into blocks from its own start
+        blocks = sum(-(-min(chunk, req.steps - lo) // block) for lo in range(0, req.steps, chunk))
+        expected += req.steps + blocks
+    assert sampled == expected
 
 
 @pytest.mark.parametrize(
@@ -1853,19 +1859,57 @@ def test_controls_sampled_once_per_step(monkeypatch, make, refuted_at):
     ],
 )
 def test_run_samples_do_not_depend_on_chunking(make, dim, method):
-    # _samples over ranges that cut blocks and chunks anywhere take the run's
-    # instants once each, with the bits of one _controls call on all of them
+    # _samples over ranges that cut blocks and chunks anywhere take the
+    # instants those steps read, each with the bits of one _controls call on
+    # the whole run: steps lo to hi - 1's midpoints, or RK4's half steps 2 lo
+    # to 2 hi, so neighbouring RK4 ranges share their edge's half step
     steps = 2 * propagator._chunk(dim) + 3
     req = make(steps=steps, method=method)
     dt = req.schedule.duration / steps
-    k = np.arange(2 * steps + 1 if method is Method.RK4 else steps)
-    t = k * (0.5 * dt) if method is Method.RK4 else (k + 0.5) * dt
+    rk4 = method is Method.RK4
+    k = np.arange(2 * steps + 1 if rk4 else steps)
+    t = k * (0.5 * dt) if rk4 else (k + 0.5) * dt
     expected = np.array(propagator._controls(req, t))
     block, chunk = propagator._block(dim), propagator._chunk(dim)
     cuts = [0, 1, 2, block - 1, block + 1, chunk, chunk + 3 * block + 5, 2 * chunk + 1, steps]
-    pieces = [propagator._samples(req, steps, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    got = np.concatenate([np.array(piece) for piece in pieces], axis=1)
-    assert got.tobytes() == expected.tobytes()
+    for lo, hi in zip(cuts, cuts[1:]):
+        got = np.array(propagator._samples(req, steps, lo, hi))
+        at = slice(2 * lo, 2 * hi + 1) if rk4 else slice(lo, hi)
+        assert got.tobytes() == expected[:, at].tobytes()
+
+
+@pytest.mark.parametrize("rescaled", [False, True], ids=["T", "3T"])
+@pytest.mark.parametrize(
+    "error",
+    [
+        {},
+        {"amplitude_scale": 0.8},
+        {"amplitude_offset": 0.1 * OMEGA0},
+        {"detuning_offset": 0.1 * OMEGA_M},
+    ],
+    ids=["nominal", "scale", "offset", "detuning"],
+)
+@pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda kind: kind.value)
+def test_schedule_declares_constant_exactly_when_its_samples_are(kind, error, rescaled):
+    # evolve takes the constant path on the schedule's word, without
+    # sampling the run: `constant` must hold exactly where every instant a
+    # run samples, its midpoints or RK4's half steps, has step 0's controls
+    params = LambdaParams(omega_p0=OMEGA0, omega_s0=OMEGA0, delta_one_photon=DELTA_BIG)
+    schedule = make_schedule(params, kind, 2.85e-3, delta_m=DELTA_M)
+    if rescaled:
+        schedule = schedule.with_duration(3 * schedule.duration)
+    steps = 2 * propagator._block(3) + 5
+    for method in Method:
+        req = EvolveRequest(
+            model=make_model(params),
+            schedule=schedule,
+            initial=QuantumState.basis(3, 0),
+            steps=steps,
+            method=method,
+            **error,
+        )
+        samples = np.array(propagator._samples(req, steps, 0, steps))
+        assert schedule.constant == bool(np.all(samples == samples[:, :1]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -2052,7 +2096,7 @@ def test_kept_one_step_root_owns_its_memory(monkeypatch, make, dim, refuted):
 
 def test_rk4_maps_do_not_depend_on_the_range():
     # a range that starts off step 0 samples the half step it starts from,
-    # as a run's later blocks take it from the block before: the same bits
+    # as each of a run's blocks does: the same bits
     block = propagator._block(2)
     req = two_level_request(steps=block + 20, method=Method.RK4)
     whole, _ = propagator._step_maps(req, 0, req.steps)
