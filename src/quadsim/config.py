@@ -163,14 +163,18 @@ def load_config_text(text: str) -> RunConfig:
         protocols.append(kind)
     if scenario is Scenario.TWO_LEVEL and ScheduleKind.STIRAP_GAUSSIAN in protocols:
         raise ConfigError("key protocol: stirap requires scenario = three_level")
-    # keys the run would never read: the other scenario's parameters, and
-    # the STIRAP pulse shape when no protocol is stirap
+    # keys the run would never read: the other scenario's parameters, the
+    # STIRAP pulse shape when no protocol is stirap and the sweep's range
+    # when no protocol is a sweep
+    needs_delta_m = any(p in SWEEP_KINDS for p in protocols)
     if scenario is Scenario.TWO_LEVEL:
         unread = {"omega0_hz", "delta_big_hz", "gamma_hz"}
     else:
         unread = {"omega_m_hz"}
     if ScheduleKind.STIRAP_GAUSSIAN not in protocols:
         unread |= {"tau_sep_s", "sigma_s"}
+    if not needs_delta_m:
+        unread.add("delta_m_hz")
     unread = sorted(unread & set(main))
     if unread:
         names = ", ".join(p.value for p in protocols)
@@ -194,10 +198,9 @@ def load_config_text(text: str) -> RunConfig:
         # the params' messages start with the offending field's name
         raise ConfigError(f"key {param_keys[str(exc).split()[0]]}: {exc}") from exc
 
-    needs_delta_m = any(p in SWEEP_KINDS for p in protocols)
     if needs_delta_m and "delta_m_hz" not in main:
         raise ConfigError("missing required key: delta_m_hz")
-    delta_m = angular(_as_float(main, "delta_m_hz")) if "delta_m_hz" in main else 0.0
+    delta_m = angular(_as_float(main, "delta_m_hz")) if needs_delta_m else 0.0
     if needs_delta_m and delta_m <= 0:
         raise ConfigError("key delta_m_hz: must be > 0 for a sweep protocol")
 

@@ -229,18 +229,19 @@ def reference_gap(params: TwoLevelParams | LambdaParams) -> float:
 
 
 def from_entry_rows(rows: np.ndarray) -> np.ndarray:
-    """The (batch, n, n) matrices held in (n, n, batch) entry rows, as a view.
+    """The (batch, n, n) matrices held in (n, n, batch) entry rows, as a view
+    (a transpose: no copy, and writes to it reach `rows`).
 
     The models' Hamiltonians and every step map are stored this way, entries
     outermost (structure of arrays): the propagator's elementwise kernels then
     read each matrix entry of a batch as one contiguous row."""
-    return np.moveaxis(rows, -1, 0)
+    return rows.transpose(2, 0, 1)
 
 
 def to_entry_rows(u: np.ndarray) -> np.ndarray:
     """(batch, n, n) matrices as contiguous (n, n, batch) entry rows; no copy
-    when u came from :func:`from_entry_rows`."""
-    return np.ascontiguousarray(np.moveaxis(u, 0, -1))
+    when u came from :func:`from_entry_rows` (of contiguous rows)."""
+    return np.ascontiguousarray(u.transpose(1, 2, 0))
 
 
 class TwoLevelModel:

@@ -283,11 +283,11 @@ def expm_small(
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     n = a.shape[-1]
     # (n*n, batch) entry rows; a view for entry-major and (batch, n, n) storage
-    rows = np.moveaxis(a, (-2, -1), (0, 1)).reshape(n * n, -1)
+    rows = a.reshape(-1, n, n).transpose(1, 2, 0).reshape(n * n, -1)
     # a batch the decoupled gate takes is finite, so only the others are
     # scanned for inf and NaN
     ratio = _last_entry_dominates(rows) if n == 3 and _symmetric(rows) else None
-    if ratio is None and not np.all(np.isfinite(rows)):
+    if ratio is None and not np.isfinite(rows).all():
         raise ValueError("non-finite matrix entries")
     if out is None:
         out = np.empty(rows.shape, dtype=complex)
@@ -300,7 +300,7 @@ def expm_small(
     else:
         _expm_scaled_taylor(rows, out)
         skew = all(
-            np.array_equal(rows[i * n + j], -np.conj(rows[j * n + i]))
+            (rows[i * n + j] == -np.conj(rows[j * n + i])).all()
             for i in range(n)
             for j in range(i, n)
         )
@@ -315,7 +315,7 @@ def _symmetric(rows: np.ndarray) -> bool:
     # exactly
     n = math.isqrt(len(rows))
     return all(
-        np.array_equal(rows[i * n + j], rows[j * n + i]) for i in range(n) for j in range(i + 1, n)
+        (rows[i * n + j] == rows[j * n + i]).all() for i in range(n) for j in range(i + 1, n)
     )
 
 
@@ -326,10 +326,10 @@ def _expm_2x2(a00, a01, a10, a11, out: np.ndarray | None = None, phase=None) -> 
     m = np.multiply(0.5, a00 + a11, out=phase)
     d = 0.5 * (a00 - a11)
     q = d * d + a01 * a10
-    q_max = float(np.max(np.abs(q))) if q.size else 0.0
+    q_max = float(np.abs(q).max()) if q.size else 0.0
     # written so that a NaN q_max (inf - inf in q) takes the closed form
     near = None
-    if q_max <= _SERIES_MAX_Q and (phase is not None or not np.any(m.real > _SERIES_MAX_RE_M)):
+    if q_max <= _SERIES_MAX_Q and (phase is not None or not (m.real > _SERIES_MAX_RE_M).any()):
         cosh_m, sinhc_m = _cosh_sinhc_series(q, _series_degree(q_max))
         if phase is None:
             em = np.exp(m)
@@ -364,8 +364,8 @@ def _series_degree(q_max: float) -> int:
 def _cosh_sinhc_series(q, degree: int):
     # cosh(s) and sinh(s)/s with s^2 = q, as polynomials of the given degree
     # in q by Horner: sum q^k/(2k)! and sum q^k/(2k+1)!
-    cosh = np.full_like(q, _INV_FACT[2 * degree])
-    sinhc = np.full_like(q, _INV_FACT[2 * degree + 1])
+    cosh = np.full(q.shape, _INV_FACT[2 * degree], dtype=complex)
+    sinhc = np.full(q.shape, _INV_FACT[2 * degree + 1], dtype=complex)
     for k in reversed(range(degree)):
         cosh *= q
         cosh += _INV_FACT[2 * k]
@@ -381,7 +381,7 @@ def _cosh_sinhc_closed(m, q):
     s = np.sqrt(q)
     ms = m + s
     near = ms.real > _CLOSED_SCALE_RE
-    if np.any(near):
+    if near.any():
         with np.errstate(over="ignore", invalid="ignore"):
             up, half = np.exp(ms), np.exp(0.5 * ms)
             scaled = np.where(
@@ -413,20 +413,23 @@ def _last_entry_dominates(rows: np.ndarray) -> float | None:
     # as for the zero matrix, is no dominance.  gap >= 2^-500 and
     # |a22| <= 2^500 also keep det(lambda I - B), between about gap^2 and
     # 4 |a22|^2, clear of underflow and overflow.  A batch that passes is
-    # finite: NaN fails every comparison, an infinite a00, a11 or a01
-    # exceeds |a22| <= 2^500 and an infinite a02 or a12 makes the coupling
-    # inf.  |a00|, |a11| and |a01| are bounded by |a22| (else gap < 0)
-    # before gap is formed, so forming it neither overflows nor takes inf - inf
+    # finite: NaN fails every comparison (a max or min of rows with a NaN is
+    # NaN), an infinite a00, a11 or a01 exceeds |a22| <= 2^500 and an
+    # infinite a02 or a12 makes the coupling inf.  |a00|, |a11| and |a01| are
+    # bounded by |a22| (else gap < 0) before gap is formed, so forming it
+    # neither overflows nor takes inf - inf.  An empty batch has ratio 0
+    if not rows.shape[-1]:
+        return 0.0
     last, diag0, diag1, off = (np.abs(rows[i]) for i in (8, 0, 4, 1))
-    if not (np.all(last <= 2.0**500) and all(np.all(x <= last) for x in (diag0, diag1, off))):
+    if not (last.max() <= 2.0**500 and all((x <= last).all() for x in (diag0, diag1, off))):
         return None
     gap = last - diag0 - diag1 - 2.0 * off
-    if not np.all(gap >= 2.0**-500):
+    if not gap.min() >= 2.0**-500:
         return None
     coupling = np.abs(rows[2]) + np.abs(rows[5])
-    if not np.all(coupling <= 2.0**-8 * gap):
+    if not (coupling <= 2.0**-8 * gap).all():
         return None
-    return float(np.max(coupling / gap)) if coupling.size else 0.0
+    return float((coupling / gap).max())
 
 
 def _fixed_point_steps(ratio: float) -> int:
@@ -457,37 +460,98 @@ def _fixed_point_steps(ratio: float) -> int:
 def _expm_decoupled(rows: np.ndarray, steps: int, out: np.ndarray) -> np.ndarray:
     # exp of complex-symmetric 3x3 matrices with a dominant last diagonal
     # entry, from (9, batch) entry rows into the (9, batch) rows `out`, with
-    # `steps` fixed-point steps (see expm_small), a block of columns at a time
+    # `steps` fixed-point steps (see expm_small), a block of columns at a
+    # time.  A block reads its six rows as views, and each intermediate is
+    # one ufunc call with out= into a row of one (9, block) scratch or of the
+    # block's stored entries, with the operands and order of the expressions
+    # in the comments, so the maps keep the bits those expressions give:
+    # numpy's complex product is not commutative in its last bit, and on a
+    # one-column block a product written over its own operand takes another
+    # loop with other roundings, so none is.  The scratch is no larger than
+    # the block's H: with an 11-row one a Lambda compare call took 8900 minor
+    # page faults on Linux instead of 1400, as the C heap gave back its top
+    # and took it again block after block
     width = _block(3)
+    scratch = np.empty((9, min(width, rows.shape[-1])), dtype=complex)
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     for lo in range(0, rows.shape[-1], width):
-        b00, b01, c0, b11, c1, a22 = rows[[0, 1, 2, 4, 5, 8], lo : lo + width]
-        b01_sq = b01 * b01
+        b00, b01, c0, _, b11, c1, _, _, a22 = rows[:, lo : lo + width]
+        block = out[:, lo : lo + width]
+        lam, p, r, t, d, b01_sq, c0_sq, c1_sq, cross = scratch[:, : block.shape[-1]]
         # c^T (lambda I - B)^-1 c = (r c0^2 + p c1^2 + 2 b01 c0 c1) / (p r - b01^2)
-        # with p = lambda - b00, r = lambda - b11
-        c0_sq, c1_sq, cross = c0 * c0, c1 * c1, 2.0 * b01 * c0 * c1
-        lam = a22
+        # with p = lambda - b00, r = lambda - b11: from lambda = a22 each step
+        # is lambda = a22 + (r*c0_sq + p*c1_sq + cross) / (p*r - b01_sq), with
+        # b01_sq = b01*b01, c0_sq = c0*c0, c1_sq = c1*c1, cross = 2.0*b01*c0*c1
+        mul(b01, b01, out=b01_sq)
+        mul(c0, c0, out=c0_sq)
+        mul(c1, c1, out=c1_sq)
+        mul(2.0, b01, out=t)
+        mul(t, c0, out=d)
+        mul(d, c1, out=cross)
+        lam[...] = a22
         for _ in range(steps):
-            p, r = lam - b00, lam - b11
-            lam = a22 + (r * c0_sq + p * c1_sq + cross) / (p * r - b01_sq)
-        p, r = lam - b00, lam - b11
-        inv_det = 1.0 / (p * r - b01_sq)
-        x0 = (r * c0 + b01 * c1) * inv_det
-        x1 = (p * c1 + b01 * c0) * inv_det
-        e00, e01, e10, e11 = _expm_2x2(b00 - c0 * x0, b01 - c0 * x1, b01 - c1 * x0, b11 - c1 * x1)
+            sub(lam, b00, out=p)
+            sub(lam, b11, out=r)
+            mul(r, c0_sq, out=t)
+            mul(p, c1_sq, out=d)
+            add(t, d, out=t)
+            add(t, cross, out=t)
+            mul(p, r, out=d)
+            sub(d, b01_sq, out=d)
+            div(t, d, out=t)
+            add(a22, t, out=lam)
+        # p and r again; inv_det = 1.0 / (p*r - b01_sq) into d, x0 = (r*c0 +
+        # b01*c1) * inv_det into t and x1 = (p*c1 + b01*c0) * inv_det into c0_sq
+        sub(lam, b00, out=p)
+        sub(lam, b11, out=r)
+        mul(p, r, out=d)
+        sub(d, b01_sq, out=d)
+        div(1.0, d, out=d)
+        x0, x1, tmp = t, c0_sq, b01_sq
+        for x, (f, g), (h, k) in ((x0, (r, c0), (b01, c1)), (x1, (p, c1), (b01, c0))):
+            mul(f, g, out=x)
+            mul(h, k, out=tmp)
+            add(x, tmp, out=tmp)
+            mul(tmp, d, out=x)
+        # R = B - c x^T: b00 - c0*x0, b01 - c0*x1, b01 - c1*x0 and b11 - c1*x1
+        # into p, r, d and tmp; E = exp(R) into the block's first four rows
+        for entry, b, c, x in (
+            (p, b00, c0, x0), (r, b01, c0, x1), (d, b01, c1, x0), (tmp, b11, c1, x1)
+        ):
+            mul(c, x, out=entry)
+            sub(b, entry, out=entry)
+        e00, e01, e10, e11 = _expm_2x2(p, r, d, tmp, out=block[:4])
         # T diag(E, mu) T^-1 = T diag(E (I - x x^T/s), mu/s) T^T; with
         # z = (mu x - E x)/s its last column is z, its corner mu - x^T z
-        # and its leading block E + z x^T
-        mu = np.exp(lam)
-        inv_s = 1.0 / (1.0 + x0 * x0 + x1 * x1)
-        z0 = (mu * x0 - e00 * x0 - e01 * x1) * inv_s
-        z1 = (mu * x1 - e10 * x0 - e11 * x1) * inv_s
-        block = out[:, lo : lo + width]
-        block[0] = e00 + x0 * z0
-        block[1] = block[3] = e01 + x1 * z0
-        block[2] = block[6] = z0
-        block[4] = e11 + x1 * z1
-        block[5] = block[7] = z1
-        block[8] = mu - x0 * z0 - x1 * z1
+        # and its leading block E + z x^T.  mu = e^lambda into lam, inv_s =
+        # 1.0 / (1.0 + x0*x0 + x1*x1) into p, z0 = (mu*x0 - e00*x0 - e01*x1)
+        # * inv_s into r and z1 = (mu*x1 - e10*x0 - e11*x1) * inv_s into d
+        mu, inv_s, z0, z1 = np.exp(lam, out=lam), p, r, d
+        mul(x0, x0, out=inv_s)
+        add(1.0, inv_s, out=inv_s)
+        mul(x1, x1, out=tmp)
+        add(inv_s, tmp, out=inv_s)
+        div(1.0, inv_s, out=inv_s)
+        for z, x, ez0, ez1 in ((z0, x0, e00, e01), (z1, x1, e10, e11)):
+            mul(mu, x, out=z)
+            mul(ez0, x0, out=tmp)
+            sub(z, tmp, out=tmp)
+            mul(ez1, x1, out=z)
+            sub(tmp, z, out=tmp)
+            mul(tmp, inv_s, out=z)
+        # e00 + x0*z0, e01 + x1*z0 and e11 + x1*z1 over E's rows, then the
+        # corner mu - x0*z0 - x1*z1 and the copies
+        for entry, e, x, z in (
+            (block[0], e00, x0, z0), (block[1], e01, x1, z0), (block[4], e11, x1, z1)
+        ):
+            mul(x, z, out=tmp)
+            add(e, tmp, out=entry)
+        corner = block[8]
+        mul(x0, z0, out=corner)
+        sub(mu, corner, out=corner)
+        mul(x1, z1, out=tmp)
+        sub(corner, tmp, out=corner)
+        block[2], block[3], block[5], block[6], block[7] = z0, block[1], z1, z0, z1
     return out
 
 

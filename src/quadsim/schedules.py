@@ -55,7 +55,7 @@ _T_TOL = 1e-9  # relative slack for t-range checks at grid endpoints
 def _check_time(t, duration: float):
     t = np.asarray(t, dtype=float)
     tol = _T_TOL * duration
-    if np.any(t < -tol) or np.any(t > duration + tol):
+    if (t < -tol).any() or (t > duration + tol).any():
         raise ValueError(f"t outside [0, {duration}]")
     return np.clip(t, 0.0, duration)
 

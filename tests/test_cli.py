@@ -97,6 +97,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"key {key}: not read by scenario {scenario}"):
             load_config_text(text + line + "\n")
 
+    @pytest.mark.parametrize(
+        "scenario, protocol",
+        [
+            ("two_level", "flat_pi"),
+            ("three_level", "flat_pi"),
+            ("three_level", "stirap"),
+            ("three_level", "stirap, flat_pi"),
+        ],
+    )
+    def test_delta_m_without_a_sweep_rejected(self, scenario, protocol):
+        # delta_m_hz sets only a sweep's range: with no sweep protocol no run reads it
+        text = TWO_LEVEL_BASE.replace("protocol = siquad", f"protocol = {protocol}")
+        if scenario == "three_level":
+            text = text.replace("scenario = two_level", "scenario = three_level").replace(
+                "omega_m_hz = 150e3", "omega0_hz = 5e6\ndelta_big_hz = 10e9"
+            )
+        assert load_config_text(text.replace("delta_m_hz = 10e6\n", "")).run.delta_m == 0.0
+        with pytest.raises(ConfigError, match=f"key delta_m_hz: not read by scenario {scenario}"):
+            load_config_text(text)
+
     def test_protocol_alias_pi(self):
         text = TWO_LEVEL_BASE.replace("protocol = siquad", "protocol = pi").replace(
             "delta_m_hz = 10e6\n", ""
@@ -530,15 +550,21 @@ def test_preset_resolution_through_cli(tmp_path, capsys, preset):
         ("compare", "steps = 4000", "steps = 4000\ncompare_det_hz = 0", "compare_det_hz"),
         (
             "simulate",
-            "scenario = two_level\nprotocol = siquad\nomega_m_hz = 150e3",
+            "scenario = two_level\nprotocol = siquad\nomega_m_hz = 150e3\ndelta_m_hz = 10e6",
             "scenario = three_level\nprotocol = stirap\nomega0_hz = 5e6\ndelta_big_hz = 10e9\nsigma_s = 0",
             "sigma_s",
         ),
         (
             "simulate",
-            "scenario = two_level\nprotocol = siquad\nomega_m_hz = 150e3",
+            "scenario = two_level\nprotocol = siquad\nomega_m_hz = 150e3\ndelta_m_hz = 10e6",
             "scenario = three_level\nprotocol = stirap\nomega0_hz = 5e6\ndelta_big_hz = 10e9\ntau_sep_s = 5e-4",
             "tau_sep_s",
+        ),
+        (
+            "simulate",
+            "scenario = two_level\nprotocol = siquad\nomega_m_hz = 150e3",
+            "scenario = three_level\nprotocol = stirap\nomega0_hz = 5e6\ndelta_big_hz = 10e9",
+            "delta_m_hz",
         ),
         (
             "sweep",

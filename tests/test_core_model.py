@@ -23,7 +23,7 @@ from quadsim import (
     three_level_gap,
     two_level_hamiltonian,
 )
-from quadsim.core_model import TWO_PI
+from quadsim.core_model import TWO_PI, from_entry_rows, to_entry_rows
 from quadsim.propagator import EvolveRequest
 
 from conftest import DELTA_BIG, DELTA_M, GAMMA, OMEGA0, OMEGA_M, TAU_PI
@@ -260,3 +260,29 @@ class TestParamValidation:
     def test_lambda_rejects_non_finite(self):
         with pytest.raises(ValueError):
             LambdaParams(omega_p0=math.nan, omega_s0=OMEGA0, delta_one_photon=DELTA_BIG)
+
+
+class TestEntryRows:
+    """from_entry_rows views (n, n, batch) entry rows as (batch, n, n)
+    matrices; to_entry_rows takes them back, copying only what is not
+    already contiguous entry rows."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_round_trips_as_views(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(n, n, 5)) + 1j * rng.normal(size=(n, n, 5))
+        matrices = from_entry_rows(rows)
+        assert matrices.shape == (5, n, n) and np.shares_memory(matrices, rows)
+        assert all(np.array_equal(matrices[b], rows[:, :, b]) for b in range(5))
+        back = to_entry_rows(matrices)
+        assert np.shares_memory(back, rows) and back.flags.c_contiguous
+        assert np.array_equal(back, rows)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_major_matrices_round_trip(self, n):
+        rng = np.random.default_rng(n)
+        matrices = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        rows = to_entry_rows(matrices)
+        assert rows.shape == (n, n, 5) and rows.flags.c_contiguous
+        assert not np.shares_memory(rows, matrices)
+        assert np.array_equal(from_entry_rows(rows), matrices)

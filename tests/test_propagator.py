@@ -325,6 +325,25 @@ class TestExpmSmall:
         assert np.array_equal(out, to_entry_rows(expected).reshape(n * n, -1))
         assert np.all(np.isnan(storage[:, :3])) and np.all(np.isnan(storage[:, 3 + len(a) :]))
 
+    @pytest.mark.parametrize(
+        "shape, phase",
+        [
+            pytest.param((0, 2, 2), False, id="2x2"),
+            pytest.param((0, 2, 2), True, id="2x2-phase"),
+            pytest.param((0, 3, 3), False, id="3x3"),
+            pytest.param((0, 3, 3), True, id="3x3-phase"),
+        ],
+    )
+    @pytest.mark.parametrize("with_out", [False, True], ids=["new", "out"])
+    def test_empty_batch(self, shape, phase, with_out):
+        n = shape[-1]
+        out = np.empty((n * n, 0), dtype=complex) if with_out else None
+        phases = np.empty(0, dtype=complex) if phase else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expm_small(np.empty(shape, dtype=complex), out=out, phase=phases)
+        assert got.shape == shape and got.dtype == complex
+
 
 def assert_refused_without_warning(batch: np.ndarray) -> None:
     with warnings.catch_warnings():
@@ -594,6 +613,113 @@ class TestFixedPointRule:
                 assert abs(lam - exact) <= fixed_point_bound(ratio, k) * abs(a22)
 
 
+def gate_reference(m: np.ndarray) -> float | None:
+    # _last_entry_dominates for one 3x3 matrix in Python floats, test by test
+    # in the gate's order, from abs() of Python complex
+    last, diag0, diag1, off = (abs(complex(m[i, j])) for i, j in ((2, 2), (0, 0), (1, 1), (0, 1)))
+    if not (last <= 2.0**500 and diag0 <= last and diag1 <= last and off <= last):
+        return None
+    gap = last - diag0 - diag1 - 2.0 * off
+    if not gap >= 2.0**-500:
+        return None
+    coupling = abs(complex(m[0, 2])) + abs(complex(m[1, 2]))
+    if not coupling <= 2.0**-8 * gap:
+        return None
+    return coupling / gap
+
+
+def gate_matrix(last: float, diag0=0.0, diag1=0.0, off=0.0, c0=0.0, c1=0.0) -> np.ndarray:
+    # complex symmetric, each entry of the modulus given, with phases
+    return np.array(
+        [[diag0, 1j * off, c0], [1j * off, -diag1, -1j * c1], [c0, -1j * c1, -1j * last]],
+        dtype=complex,
+    )
+
+
+def up(x: float) -> float:
+    return float(np.nextafter(x, np.inf))
+
+
+def down(x: float) -> float:
+    return float(np.nextafter(x, -np.inf))
+
+
+def gate_cases() -> dict:
+    # single matrices at each bound of the decoupled gate and one float past
+    # it, and the one at the coupling bound with each entry NaN or infinite
+    cases = {
+        "last-2^500": gate_matrix(2.0**500, c0=2.0**490),
+        "last-past-2^500": gate_matrix(up(2.0**500), c0=2.0**490),
+        "gap-2^-500": gate_matrix(2.0**-500, c0=2.0**-510),
+        "gap-below-2^-500": gate_matrix(down(2.0**-500), c0=2.0**-510),
+        # gap 10 - 1 - 2 - 2 * 0.5 = 6
+        "coupling-2^-8-gap": gate_matrix(10.0, 1.0, 2.0, 0.5, 6 * 2.0**-9, 6 * 2.0**-9),
+        "coupling-past-2^-8-gap": gate_matrix(10.0, 1.0, 2.0, 0.5, 6 * 2.0**-9, up(6 * 2.0**-9)),
+        "a00-at-a22": gate_matrix(3.0, diag0=3.0),
+        "a00-past-a22": gate_matrix(3.0, diag0=up(3.0)),
+        "a11-past-a22": gate_matrix(3.0, diag1=up(3.0)),
+        "a01-past-a22": gate_matrix(3.0, off=up(3.0)),
+        "zero-gap": gate_matrix(4.0, 1.0, 1.0, 1.0),
+        "gap-one-ulp": gate_matrix(up(4.0), 1.0, 1.0, 1.0, 2.0**-70),
+        "zero-matrix": gate_matrix(0.0),
+    }
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        for value in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)):
+            m = cases["coupling-2^-8-gap"].copy()
+            m[i, j] = m[j, i] = value
+            cases[f"a{i}{j}={value}"] = m
+    return cases
+
+
+GATE_CASES = gate_cases()
+
+
+def dominant_symmetric(count: int, seed: int) -> np.ndarray:
+    # complex-symmetric matrices with general complex entries and a dominant
+    # last diagonal entry, where the products' roundings depend on both parts
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3))
+    a = 0.25 * (a + np.swapaxes(a, 1, 2))
+    a[:, 2, 2] = 40.0 * np.exp(2j * np.pi * rng.random(count))
+    a[:, :2, 2] *= 0.01
+    a[:, 2, :2] = a[:, :2, 2]
+    return a
+
+
+def plain_decoupled(rows: np.ndarray, steps: int) -> np.ndarray:
+    # the decoupled kernel as plain numpy expressions, each forming a new
+    # array: the bits its scratch form must keep, one block at a time
+    out = np.empty(rows.shape, dtype=complex)
+    width = propagator._block(3)
+    for lo in range(0, rows.shape[-1], width):
+        b00, b01, c0, b11, c1, a22 = rows[[0, 1, 2, 4, 5, 8], lo : lo + width]
+        b01_sq = b01 * b01
+        c0_sq, c1_sq, cross = c0 * c0, c1 * c1, 2.0 * b01 * c0 * c1
+        lam = a22
+        for _ in range(steps):
+            p, r = lam - b00, lam - b11
+            lam = a22 + (r * c0_sq + p * c1_sq + cross) / (p * r - b01_sq)
+        p, r = lam - b00, lam - b11
+        inv_det = 1.0 / (p * r - b01_sq)
+        x0 = (r * c0 + b01 * c1) * inv_det
+        x1 = (p * c1 + b01 * c0) * inv_det
+        e00, e01, e10, e11 = propagator._expm_2x2(
+            b00 - c0 * x0, b01 - c0 * x1, b01 - c1 * x0, b11 - c1 * x1
+        )
+        mu = np.exp(lam)
+        inv_s = 1.0 / (1.0 + x0 * x0 + x1 * x1)
+        z0 = (mu * x0 - e00 * x0 - e01 * x1) * inv_s
+        z1 = (mu * x1 - e10 * x0 - e11 * x1) * inv_s
+        block = out[:, lo : lo + width]
+        block[0] = e00 + x0 * z0
+        block[1] = block[3] = e01 + x1 * z0
+        block[2] = block[6] = z0
+        block[4] = e11 + x1 * z1
+        block[5] = block[7] = z1
+        block[8] = mu - x0 * z0 - x1 * z1
+    return out
+
+
 class TestDecoupledPath:
     """The exact block-decoupled kernel for complex-symmetric 3x3 batches
     with a dominant last diagonal entry, as every Lambda step has."""
@@ -635,6 +761,43 @@ class TestDecoupledPath:
         assert taken == ["_expm_decoupled"]
         expected = mpmath_expm(a, *series_size(a))
         assert np.linalg.norm(got - expected) < 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("case", GATE_CASES)
+    def test_gate_decision_table(self, case):
+        # the gate's verdict and ratio, bit for bit, on one matrix at each
+        # bound and past it, and with each entry NaN or infinite
+        m = GATE_CASES[case]
+        expected = gate_reference(m)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = propagator._last_entry_dominates(m.reshape(9, 1))
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and got.hex() == expected.hex()
+
+    def test_gate_takes_empty_batch(self):
+        assert propagator._last_entry_dominates(np.empty((9, 0), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "count",
+        [1, 2, 3, propagator._block(3) + 1],
+        ids=["1", "2", "3", "block+1"],
+    )
+    def test_matches_plain_expressions_bitwise(self, steps, count):
+        # single columns too: a product over its own one-column operand
+        # takes another numpy loop, with other roundings
+        batches = [lambda_sweep(count, gamma=gamma) for gamma in (0.0, GAMMA)]
+        batches += [lambda_sweep(count + 7)[k : k + count] for k in range(1, 7)]
+        batches += [dominant_symmetric(count, seed) for seed in range(6)]
+        for batch in batches:
+            rows = to_entry_rows(batch).reshape(9, -1)
+            assert propagator._last_entry_dominates(rows) is not None
+            out = np.empty(rows.shape, dtype=complex)
+            got = propagator._expm_decoupled(rows, steps, out)
+            assert got is out
+            assert np.array_equal(bits(got), bits(plain_decoupled(rows, steps)))
 
     def test_output_is_bitwise_symmetric(self, monkeypatch):
         taken, got = kernels_taken(monkeypatch, lambda_sweep(50))
